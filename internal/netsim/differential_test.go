@@ -7,9 +7,10 @@ package netsim_test
 // randomized mixed topologies — spatial cells, Poisson/on-off traffic with
 // deadlines and churn, waypoint-style mobility epochs with Reindex,
 // mid-run AddFlow, bounded and unbounded interference, all three
-// interference models — are each fingerprinted (every counter, every
-// clock value in exact hex-float form, plus one post-run RNG draw that
-// pins the total randomness consumed) and diffed against
+// interference models, and a gridless tail with carrier sense off — are
+// each fingerprinted (every counter, every clock value in exact hex-float
+// form, plus one post-run RNG draw that pins the total randomness
+// consumed) and diffed against
 // testdata/differential_head.txt, which was generated by the pre-SoA
 // scheduler at HEAD. Regenerate with -update ONLY when a deliberate,
 // documented behavior change moves the simulation (same contract as the
@@ -130,6 +131,20 @@ func buildTrial(trial int) diffTrial {
 	if trial%5 == 2 {
 		t.addAt = 0.005 + rng.Float64()*0.02
 	}
+	if trial >= differentialTrials {
+		// Gridless trials: carrier sense off, so no spatial index is built,
+		// every settle takes the all-flows scan and every collision count
+		// the no-grid walk. The model still cycles with the trial; the
+		// interference range alternates between unbounded and covering the
+		// floor, and every other trial is guaranteed an unplaced flow.
+		t.cs = 0
+		t.ixRange = []float64{0, 1000}[(trial/3)%2]
+		if trial%2 == 0 {
+			t.flows = append(t.flows, diffFlow{
+				packets: 3 + rng.Intn(6), ft: 5e-4 + rng.Float64()*1e-3, acked: true,
+			})
+		}
+	}
 	return t
 }
 
@@ -245,12 +260,17 @@ func runDifferential(trial int) string {
 	return b.String()
 }
 
-const differentialTrials = 30
+// differentialTrials is the number of randomized trials with carrier sense
+// drawn in 25-80 m; gridlessTrials more follow them with carrier sense off.
+const (
+	differentialTrials = 30
+	gridlessTrials     = 12
+)
 
 func TestDifferentialHeadEquivalence(t *testing.T) {
 	path := filepath.Join("testdata", "differential_head.txt")
 	var b strings.Builder
-	for trial := 0; trial < differentialTrials; trial++ {
+	for trial := 0; trial < differentialTrials+gridlessTrials; trial++ {
 		b.WriteString(runDifferential(trial))
 	}
 	got := b.String()
@@ -261,7 +281,7 @@ func TestDifferentialHeadEquivalence(t *testing.T) {
 		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("wrote %s (%d trials)", path, differentialTrials)
+		t.Logf("wrote %s (%d trials)", path, differentialTrials+gridlessTrials)
 		return
 	}
 	want, err := os.ReadFile(path)
@@ -281,8 +301,21 @@ func TestDifferentialHeadEquivalence(t *testing.T) {
 	// The harness itself must exercise both scan paths and all models —
 	// guard against a refactor of buildTrial silently narrowing coverage.
 	var models, bounded, unbounded, mobile, churn int
-	for trial := 0; trial < differentialTrials; trial++ {
+	var gridlessModels, gridlessBounded, gridlessUnbounded, gridlessUnplaced int
+	for trial := 0; trial < differentialTrials+gridlessTrials; trial++ {
 		tr := buildTrial(trial)
+		if tr.cs <= 0 {
+			gridlessModels |= 1 << tr.model
+			if tr.ixRange > 0 {
+				gridlessBounded++
+			} else {
+				gridlessUnbounded++
+			}
+			if anyUnplaced(tr) {
+				gridlessUnplaced++
+			}
+			continue
+		}
 		models |= 1 << tr.model
 		if tr.ixRange > 0 {
 			bounded++
@@ -300,6 +333,20 @@ func TestDifferentialHeadEquivalence(t *testing.T) {
 		t.Fatalf("harness coverage narrowed: models=%b bounded=%d unbounded=%d mobile=%d churn=%d",
 			models, bounded, unbounded, mobile, churn)
 	}
+	if gridlessModels != 7 || gridlessBounded == 0 || gridlessUnbounded == 0 || gridlessUnplaced == 0 {
+		t.Fatalf("gridless coverage narrowed: models=%b bounded=%d unbounded=%d unplaced=%d",
+			gridlessModels, gridlessBounded, gridlessUnbounded, gridlessUnplaced)
+	}
+}
+
+// anyUnplaced reports whether a trial has a flow without Radio info.
+func anyUnplaced(tr diffTrial) bool {
+	for _, f := range tr.flows {
+		if !f.placed {
+			return true
+		}
+	}
+	return false
 }
 
 // anyTrafficChurn reports whether a trial has traffic-layer churn (a flow
