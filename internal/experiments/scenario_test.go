@@ -39,6 +39,27 @@ func TestScenarioCellMatchesCellExperiment(t *testing.T) {
 	}
 }
 
+// TestScenarioHugeInterferenceRangeMatchesUnbounded pins that a finite
+// but enormous interference range bounds nothing: the mobility scenario
+// at interference_range_m 1e12 (far past the spatial index's int32 cell
+// range) must render byte-identical to the same spec left unbounded.
+func TestScenarioHugeInterferenceRangeMatchesUnbounded(t *testing.T) {
+	base, _ := scenario.Builtin("mobility")
+	render := func(ixRange float64) []byte {
+		sp := *base
+		sp.Topology.InterferenceRangeM = ixRange
+		var out bytes.Buffer
+		if err := Run(&out, "scenario", Params{Seed: 1, Quick: true, Workers: 2, Scenario: &sp}); err != nil {
+			t.Fatal(err)
+		}
+		return out.Bytes()
+	}
+	unbounded, huge := render(0), render(1e12)
+	if !bytes.Equal(unbounded, huge) {
+		t.Fatalf("interference_range_m 1e12 diverged from unbounded\n--- 0 ---\n%s--- 1e12 ---\n%s", unbounded, huge)
+	}
+}
+
 // TestScenarioRequiresSpec pins the error for the generic experiment
 // invoked without a spec (e.g. ssserve without an inline scenario).
 func TestScenarioRequiresSpec(t *testing.T) {

@@ -1,9 +1,11 @@
 package netsim_test
 
-// The bounded interference scan must be an access-path change only: with
-// InterferenceRangeM covering the whole floor, the spatial-index query
-// (per-flow past lists, grid candidate gathering) must reproduce the
-// unbounded active+past scan draw-for-draw on randomized topologies.
+// Settles have two scan arms: the indexed-candidate arm (memoized grid
+// candidate lists) and the all-flows arm (every flow's live and recent
+// transmissions), which InterferenceRangeM <= 0 selects. Bounding is an
+// access-path change only: with InterferenceRangeM covering the whole
+// floor, the indexed arm must reproduce the all-flows arm draw-for-draw
+// on randomized topologies.
 
 import (
 	"fmt"
@@ -86,12 +88,12 @@ func TestBoundedInterferenceMatchesUnbounded(t *testing.T) {
 		}
 		cs := 30 + rng.Float64()*60
 		// The floor spans at most ~340 m diagonally plus the 20 m client
-		// offset; 1000 m bounds nothing, so the indexed scan must visit
-		// exactly the transmissions the unbounded scan visits.
+		// offset; 1000 m bounds nothing, so the indexed arm must visit
+		// exactly the transmissions the all-flows arm visits.
 		got := runBounded(int64(trial), specs, cs, 10, 1000)
 		want := runBounded(int64(trial), specs, cs, 10, 0)
 		if got != want {
-			t.Fatalf("trial %d (cells=%d clients=%d cs=%.1f): bounded scan diverged:\nbounded:\n%s\nunbounded:\n%s",
+			t.Fatalf("trial %d (cells=%d clients=%d cs=%.1f): indexed-candidate arm (range 1000) diverged from all-flows arm (range 0):\nindexed:\n%s\nall-flows:\n%s",
 				trial, nCells, clients, cs, got, want)
 		}
 	}

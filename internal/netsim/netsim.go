@@ -84,9 +84,10 @@
 // draw-for-draw and bit-for-bit identical to the historical round-based
 // scheduler — the determinism contract the fig17/fig18 experiments pin).
 //
-// Interference pricing scans every transmission on the air regardless of
-// distance by default; Sim.InterferenceRangeM bounds that scan through the
-// spatial index for city-scale floors where far interferers are noise.
+// Interference pricing considers every flow's live and recent
+// transmissions by default; Sim.InterferenceRangeM bounds the candidates
+// through the spatial index for city-scale floors where far interferers are
+// noise.
 //
 // Retries re-enter contention (as in real DCF) rather than holding the
 // medium. Scenario packages (internal/lasthop, internal/exor) define flows
@@ -288,11 +289,11 @@ type Sim struct {
 	// InterferenceRangeM bounds the interference scan when a frame is
 	// settled: only transmitters within this range of the frame's receiver
 	// (or within CSRangeM of its transmitter — colliders always count) are
-	// priced. <= 0, the default, scans every transmission on the air
-	// regardless of distance — the historical behavior, bit-for-bit. City-
-	// scale scenarios set it to the radius beyond which interference is
-	// below noise, turning each settle into an O(nearby) index query; it
-	// should comfortably exceed CSRangeM plus the longest serving link.
+	// priced. <= 0, the default, makes every flow a candidate regardless of
+	// distance. City-scale scenarios set it to the radius beyond which
+	// interference is below noise, turning each settle into an O(nearby)
+	// index query; it should comfortably exceed CSRangeM plus the longest
+	// serving link.
 	// Set it before the first Step and leave it fixed for the run.
 	InterferenceRangeM float64
 
@@ -335,7 +336,7 @@ type Sim struct {
 	mark       []uint32   // last markGen that visited the flow (scratch)
 	starterIdx []int32    // the flow's slot in the current starter set (scratch)
 	curTx      []*tx      // in-flight transmission; nil while contending or idle
-	flowPast   [][]pastTx // finished air intervals, kept while they can still interfere (bounded mode)
+	flowPast   [][]pastTx // finished air intervals, kept while they can still interfere
 
 	// Spatial index over transmitter positions (nil when CSRangeM <= 0 or
 	// nothing is placed); unplaced flows contend with everyone and ride
@@ -355,28 +356,21 @@ type Sim struct {
 	// were built against: mobility installs fresh Radio values (see
 	// Reindex), so a pointer mismatch detects stale geometry exactly.
 	topoGen  uint32
-	nbGen    []uint32                // generation nbList was built at
-	nbRadio  []*Radio                // the flow's Radio when nbList was built
-	nbList   [][]int32               // cached carrier-sense neighborhood (grid hits ascending, then unplaced)
-	ixGen    []uint32                // generation ixCands was built at
-	ixRadio  []*Radio                // the flow's Radio when ixCands was built
-	ixCands  [][]ixCand              // cached interferer candidates with per-pair prices
-	sigGen   []uint32                // generation sigPow was computed at
-	sigRadio []*Radio                // the flow's Radio when sigPow was computed
-	sigPow   []float64               // 10^(SNRdB/10) of the serving link
-	allFlows []int32                 // shared everyone-contends list for the no-grid path
-	pairPow  map[radioPair]pairPrice // per-pair pricing memo for the unbounded scan, cleared on Reindex
+	nbGen    []uint32   // generation nbList was built at
+	nbRadio  []*Radio   // the flow's Radio when nbList was built
+	nbList   [][]int32  // cached carrier-sense neighborhood (grid hits ascending, then unplaced)
+	ixGen    []uint32   // generation ixCands was built at
+	ixRadio  []*Radio   // the flow's Radio when ixCands was built
+	ixCands  [][]ixCand // cached interferer candidates with per-pair prices
+	sigGen   []uint32   // generation sigPow was computed at
+	sigRadio []*Radio   // the flow's Radio when sigPow was computed
+	sigPow   []float64  // 10^(SNRdB/10) of the serving link
+	allFlows []int32    // shared everyone-contends list for the no-grid path
 
 	// Admission queue: flows that need a fresh look at the top of the next
 	// Step (new frame, retry counter, carrier-sense state), processed in
 	// registration order so RNG consumption is deterministic.
 	admitQ []int32
-
-	// Live and recently finished transmissions, maintained only in the
-	// unbounded-interference mode where settles scan them linearly; the
-	// bounded mode keeps past intervals per flow instead.
-	active []*tx
-	past   []pastTx
 
 	// Scratch buffers reused across Steps (the hot loop). nbufA and nbufB
 	// serve the grid queries inside cache rebuilds (a rebuild holds both
@@ -395,7 +389,7 @@ type Sim struct {
 }
 
 // ixCand is one memoized interferer candidate of a flow: a flow the
-// bounded settle scan can reach, priced once per topology generation
+// indexed settle scan can reach, priced once per topology generation
 // against its current Radio. pow is the candidate transmitter's median
 // interference power at the owning flow's receiver (linear; 0 when the
 // pair is not priced), inCS its carrier-sense relation to the owning
@@ -412,21 +406,6 @@ type ixCand struct {
 	fi   int32
 	inCS bool
 	pow  float64
-}
-
-// radioPair keys the unbounded-mode pricing memo: interference is a pure
-// function of (interferer geometry, receiver geometry) between Reindex
-// calls, and mobility installs fresh *Radio values, so pointer identity
-// is value identity.
-type radioPair struct {
-	from, at *Radio
-}
-
-// pairPrice is one memoized pair pricing: the interferer's median power
-// at the receiver (linear) and the carrier-sense relation.
-type pairPrice struct {
-	pow  float64
-	inCS bool
 }
 
 // New returns a simulator over the given MAC timing, drawing all randomness
@@ -530,9 +509,6 @@ func (s *Sim) inRange(f *Flow, r *Radio) bool {
 	}
 	return testbed.Dist(f.Radio.TxPos, r.TxPos) <= s.CSRangeM
 }
-
-// contends reports whether two flows share a carrier-sense neighborhood.
-func (s *Sim) contends(f, g *Flow) bool { return s.inRange(f, g.Radio) }
 
 // startTime returns when flow i's countdown expires: the moment its
 // neighborhood went idle, plus DIFS, plus its remaining backoff slots. The
@@ -709,11 +685,6 @@ func (s *Sim) interferenceModeled(f *Flow) bool {
 	return (s.Model != nil || s.CaptureDB > 0) && s.Env != nil && f.Radio != nil
 }
 
-// boundedInterference reports whether settles go through the spatial index
-// (per-flow past intervals) instead of the historical linear scan over
-// every live and recent transmission.
-func (s *Sim) boundedInterference() bool { return s.InterferenceRangeM > 0 }
-
 // pushEvent adds one event to the pending min-heap (4-ary).
 func (s *Sim) pushEvent(e event) {
 	h := append(s.events, e)
@@ -793,7 +764,6 @@ func (s *Sim) Reindex() {
 	s.indexed = 0
 	s.unplaced = s.unplaced[:0]
 	s.topoGen++
-	clear(s.pairPow)
 	s.ensureIndex()
 }
 
@@ -1045,9 +1015,6 @@ func (s *Sim) Step() bool {
 			if r.ft > s.maxFT {
 				s.maxFT = r.ft
 			}
-			if !s.boundedInterference() {
-				s.active = append(s.active, r)
-			}
 			s.pushEvent(event{t: r.airEnd, kind: evAirEnd, seq: r.seq, r: r})
 			starters = append(starters, r)
 		}
@@ -1084,24 +1051,18 @@ func (s *Sim) retire(r *tx) {
 	i := f.idx
 	s.curTx[i] = nil
 	s.flags[i] &^= fWaiting
-	if s.boundedInterference() {
-		// Keep the interval on the flow's slot, pruned against the oldest
-		// instant a still-unresolved frame could have started (an
-		// unresolved frame's airtime ends after now and spans at most the
-		// longest frame seen).
-		cutoff := s.now - s.maxFT
-		kept := s.flowPast[i][:0]
-		for _, p := range s.flowPast[i] {
-			if p.airEnd > cutoff {
-				kept = append(kept, p)
-			}
+	// Keep the interval on the flow's slot, pruned against the oldest
+	// instant a still-unresolved frame could have started (an unresolved
+	// frame's airtime ends after now and spans at most the longest frame
+	// seen).
+	cutoff := s.now - s.maxFT
+	kept := s.flowPast[i][:0]
+	for _, p := range s.flowPast[i] {
+		if p.airEnd > cutoff {
+			kept = append(kept, p)
 		}
-		s.flowPast[i] = append(kept, pastTx{radio: f.Radio, start: r.start, airEnd: r.airEnd})
-	} else {
-		s.past = append(s.past, pastTx{radio: f.Radio, start: r.start, airEnd: r.airEnd})
-		s.removeActive(r)
-		s.prunePast()
 	}
+	s.flowPast[i] = append(kept, pastTx{radio: f.Radio, start: r.start, airEnd: r.airEnd})
 	s.enqueueAdmit(f)
 	s.txFree = append(s.txFree, r)
 
@@ -1129,17 +1090,6 @@ func (s *Sim) retire(r *tx) {
 	}
 }
 
-// removeActive takes one retired transmission out of the live list,
-// preserving creation order (the settle scan's deterministic order).
-func (s *Sim) removeActive(r *tx) {
-	for i, g := range s.active {
-		if g == r {
-			s.active = append(s.active[:i], s.active[i+1:]...)
-			return
-		}
-	}
-}
-
 // elapsedSlots converts idle time after DIFS into whole backoff slots,
 // clamped to [0, counter]. The epsilon absorbs float error from
 // reconstructing slot counts out of absolute clock times.
@@ -1156,8 +1106,9 @@ func elapsedSlots(idle, slot float64, counter int) int {
 
 // countGroups tallies medium acquisitions and collisions among the
 // transmissions that started simultaneously: connected components of the
-// carrier-sense relation. Component counts are independent of walk order,
-// so the spatial index only changes which pairs are examined.
+// carrier-sense relation, walked over each starter's neighborhood (with
+// no grid every neighborhood is every flow, so all starters form one
+// component). Component counts are independent of walk order.
 func (s *Sim) countGroups(starters []*tx) {
 	if len(starters) == 0 {
 		return
@@ -1171,38 +1122,13 @@ func (s *Sim) countGroups(starters []*tx) {
 		grouped = append(grouped, false)
 	}
 	group := s.group[:0]
-	if s.grid != nil {
-		// Component walk over grid neighborhoods: each starter's flow is
-		// stamped with its slot, and neighbors resolve through the index
-		// instead of a pairwise scan over every starter.
-		s.markGen++
-		for i, r := range starters {
-			fi := r.f.idx
-			s.mark[fi] = s.markGen
-			s.starterIdx[fi] = int32(i)
-		}
-		for i := range starters {
-			if grouped[i] {
-				continue
-			}
-			group = append(group[:0], i)
-			grouped[i] = true
-			for k := 0; k < len(group); k++ {
-				for _, gi := range s.nearby(starters[group[k]].f) {
-					if s.mark[gi] != s.markGen || grouped[s.starterIdx[gi]] {
-						continue
-					}
-					grouped[s.starterIdx[gi]] = true
-					group = append(group, int(s.starterIdx[gi]))
-				}
-			}
-			s.Acquisitions++
-			if len(group) > 1 {
-				s.CollisionRounds++
-			}
-		}
-		s.grouped, s.group = grouped, group
-		return
+	// Each starter's flow is stamped with its slot, so a neighborhood walk
+	// recognizes fellow starters without a pairwise scan.
+	s.markGen++
+	for i, r := range starters {
+		fi := r.f.idx
+		s.mark[fi] = s.markGen
+		s.starterIdx[fi] = int32(i)
 	}
 	for i := range starters {
 		if grouped[i] {
@@ -1211,11 +1137,12 @@ func (s *Sim) countGroups(starters []*tx) {
 		group = append(group[:0], i)
 		grouped[i] = true
 		for k := 0; k < len(group); k++ {
-			for j := range starters {
-				if !grouped[j] && s.contends(starters[j].f, starters[group[k]].f) {
-					grouped[j] = true
-					group = append(group, j)
+			for _, gi := range s.nearby(starters[group[k]].f) {
+				if s.mark[gi] != s.markGen || grouped[s.starterIdx[gi]] {
+					continue
 				}
+				grouped[s.starterIdx[gi]] = true
+				group = append(group, int(s.starterIdx[gi]))
 			}
 		}
 		s.Acquisitions++
@@ -1240,11 +1167,11 @@ func (s *Sim) resolve(r *tx) {
 	// contributes its median interference power over the clipped overlap
 	// interval. The decode decision below is invariant to accumulation
 	// order (collider counts and interval maxima commute, and the sweep in
-	// worstSimultaneous sorts by a total key), so the bounded mode is free
+	// worstSimultaneous sorts by a total key), so the indexed scan is free
 	// to gather through the memoized candidate lists. The per-pair prices
-	// themselves are memoized — geometry is static between Reindex calls —
-	// so a steady-state settle does no path-loss arithmetic and allocates
-	// nothing.
+	// themselves are memoized there — geometry is static between Reindex
+	// calls — so a steady-state indexed settle does no path-loss arithmetic
+	// and allocates nothing.
 	interf := s.interf[:0]
 	nColliders := 0
 	geometryKnown := true
@@ -1290,26 +1217,9 @@ func (s *Sim) resolve(r *tx) {
 		scan(radio, start, airEnd, resolved, pow, s.inRange(f, radio))
 	}
 	switch {
-	case !s.boundedInterference():
-		// Unbounded: the historical linear scan over every live and recent
-		// transmission, with pair pricing through the per-pair memo.
-		for _, g := range s.active {
-			if g == r || g.airEnd <= r.start || g.start >= r.airEnd {
-				continue
-			}
-			pow, inCS := s.pricePair(f, g.f.Radio, priced)
-			scan(g.f.Radio, g.start, g.airEnd, g.resolved, pow, inCS)
-		}
-		for _, p := range s.past {
-			if p.airEnd <= r.start || p.start >= r.airEnd {
-				continue
-			}
-			pow, inCS := s.pricePair(f, p.radio, priced)
-			scan(p.radio, p.start, p.airEnd, true, pow, inCS)
-		}
-	case s.grid == nil || f.Radio == nil:
-		// Bounded mode without an index to query (or an unplaced frame):
-		// every flow is a candidate, as the historical visit did.
+	case s.grid == nil || f.Radio == nil || s.InterferenceRangeM <= 0:
+		// No bound, no index to query, or an unplaced frame: every flow is
+		// a candidate, and only intervals that overlap r are priced.
 		for _, g := range s.Flows {
 			gi := g.idx
 			if a := s.curTx[gi]; a != nil && a != r {
@@ -1320,7 +1230,7 @@ func (s *Sim) resolve(r *tx) {
 			}
 		}
 	default:
-		// Bounded: the memoized candidate list — the flows the two
+		// Indexed: the memoized candidate list — the flows the two
 		// neighborhood queries (carrier-sense range around the transmitter,
 		// interference range around the receiver) plus the unplaced list
 		// can reach, each carrying its pair price. Intervals sent under a
@@ -1431,7 +1341,7 @@ func (s *Sim) resolve(r *tx) {
 }
 
 // buildIxCands rebuilds f's memoized interferer-candidate list: the flows
-// the bounded settle scan can reach — two neighborhood queries, carrier-
+// the indexed settle scan can reach — two neighborhood queries, carrier-
 // sense range around f's transmitter (every possible collider) and
 // interference range around its receiver (every interferer loud enough to
 // price) — plus the unplaced flows, first occurrence kept, exactly the
@@ -1476,51 +1386,6 @@ func (s *Sim) buildIxCands(f *Flow) []ixCand {
 	s.ixRadio[i] = f.Radio
 	s.ixGen[i] = s.topoGen
 	return out
-}
-
-// pairPrice prices one interferer geometry against f's receiver through
-// the per-pair memo (the unbounded scan has no candidate lists to hang
-// prices on): the interferer's median power at f's receiver (linear) and
-// its carrier-sense relation to f. Pairs involving a nil radio are never
-// priced (unplaced flows defer to everyone: inCS true, no interference
-// term); unpriced flows only need the carrier-sense bit.
-func (s *Sim) pricePair(f *Flow, radio *Radio, priced bool) (pow float64, inCS bool) {
-	if radio == nil || f.Radio == nil || !priced {
-		return 0, s.inRange(f, radio)
-	}
-	k := radioPair{from: radio, at: f.Radio}
-	if p, ok := s.pairPow[k]; ok {
-		return p.pow, p.inCS
-	}
-	d := testbed.Dist(radio.TxPos, f.Radio.RxPos)
-	p := pairPrice{
-		pow:  math.Pow(10, s.Env.MeanSNRdB(d)/10),
-		inCS: s.inRange(f, radio),
-	}
-	if s.pairPow == nil {
-		s.pairPow = make(map[radioPair]pairPrice, 64)
-	}
-	s.pairPow[k] = p
-	return p.pow, p.inCS
-}
-
-// prunePast drops finished transmissions that can no longer overlap any
-// unresolved frame (future frames start at or after now, and past air
-// intervals end at or before it).
-func (s *Sim) prunePast() {
-	cutoff := math.Inf(1)
-	for _, r := range s.active {
-		if !r.resolved && r.start < cutoff {
-			cutoff = r.start
-		}
-	}
-	kept := s.past[:0]
-	for _, p := range s.past {
-		if p.airEnd > cutoff {
-			kept = append(kept, p)
-		}
-	}
-	s.past = kept
 }
 
 // failAttempt advances a flow past a failed attempt: unacked flows complete

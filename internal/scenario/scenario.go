@@ -69,8 +69,8 @@ type Topology struct {
 	// CSRangeM is the carrier-sense range in meters; required for
 	// multicell (it is what makes cells distinct neighborhoods).
 	CSRangeM float64 `json:"cs_range_m,omitempty"`
-	// InterferenceRangeM bounds the per-frame interference scan; 0 scans
-	// every concurrent transmission (exact, fine at these sizes).
+	// InterferenceRangeM bounds the per-frame interference scan; 0 makes
+	// every flow a candidate (exact, fine at these sizes).
 	InterferenceRangeM float64 `json:"interference_range_m,omitempty"`
 }
 

@@ -69,6 +69,22 @@ func (g *Grid) cellOf(v float64) int32 {
 	return int32(math.Floor(v / g.cellM))
 }
 
+// queryCell maps a query-box edge to its cell index, saturating in float
+// space at the int32 range: an edge pushed out by a huge or infinite radius
+// lands past the occupied extent instead of overflowing the conversion. A
+// NaN edge saturates low, so the query matches nothing.
+func (g *Grid) queryCell(v float64) int32 {
+	c := math.Floor(v / g.cellM)
+	switch {
+	case c >= math.MaxInt32:
+		return math.MaxInt32
+	case c > math.MinInt32:
+		return int32(c)
+	default:
+		return math.MinInt32
+	}
+}
+
 // Add indexes one point under the given id. Ids must be unique; points are
 // immutable once added.
 func (g *Grid) Add(id int, p Point) {
@@ -123,8 +139,8 @@ func (g *Grid) Near(p Point, r float64, out []int32) []int32 {
 	if r < 0 || g.n == 0 {
 		return out
 	}
-	x0, x1 := g.cellOf(p.X-r), g.cellOf(p.X+r)
-	y0, y1 := g.cellOf(p.Y-r), g.cellOf(p.Y+r)
+	x0, x1 := g.queryCell(p.X-r), g.queryCell(p.X+r)
+	y0, y1 := g.queryCell(p.Y-r), g.queryCell(p.Y+r)
 	// Clip the query box to the occupied extent so a far-away query point
 	// does not walk empty cells.
 	x0, x1 = max(x0, g.minX), min(x1, g.maxX)

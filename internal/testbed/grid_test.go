@@ -1,6 +1,7 @@
 package testbed
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -21,7 +22,7 @@ func bruteNear(pos []Point, p Point, r float64) []int32 {
 // TestGridMatchesBruteForce checks Near against the pairwise scan on
 // randomized topologies: same ids, same (sorted) order, across cell sizes
 // smaller than, equal to, and larger than the query radius — and radii of
-// zero and beyond the whole floor.
+// zero, beyond the whole floor, past the int32 cell range, and infinite.
 func TestGridMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 60; trial++ {
@@ -48,7 +49,7 @@ func TestGridMatchesBruteForce(t *testing.T) {
 		for q := 0; q < 20; q++ {
 			// Mix on-floor queries with far-outside ones (extent clipping).
 			p := Point{X: rng.Float64()*3*w - w, Y: rng.Float64()*3*w - w}
-			r := []float64{0, 5, 30, w * 3}[q%4] * (0.5 + rng.Float64())
+			r := []float64{0, 5, 30, w * 3, 1e12, math.Inf(1)}[q%6] * (0.5 + rng.Float64())
 			got := g.Near(p, r, nil)
 			want := bruteNear(pos, p, r)
 			if !slices.Equal(got, want) {
