@@ -6,7 +6,8 @@
 //	ssbench [flags] <experiment>
 //
 // Experiments: fig12 fig13 fig14 fig15 fig16 fig17 fig18 cell cellsweep
-// metro crosstraffic crosstraffic-spatial overhead detdelay ablations all
+// metro crosstraffic crosstraffic-spatial overhead detdelay ablations
+// arrivals mobility all (-list prints the registered set)
 //
 // The rendering itself lives in internal/experiments, shared with the
 // ssserve daemon — this command only translates flags into
@@ -31,26 +32,15 @@ import (
 var (
 	seed     = flag.Int64("seed", 1, "base random seed")
 	quick    = flag.Bool("quick", false, "run shrunken workloads (~10x faster)")
-	parallel = flag.Bool("parallel", true, "fan trials out across all CPUs (results are identical either way)")
-	nworkers = flag.Int("workers", 0, "worker count when -parallel (0 = GOMAXPROCS)")
+	nworkers = flag.Int("workers", 0, "engine worker count: 0 = one per CPU, 1 = serial (results are identical either way)")
 	list     = flag.Bool("list", false, "print the registered experiment names, one per line, and exit (CI loops over this)")
 	cells    = flag.String("cells", "1,2,3", "comma-separated cell counts for cellsweep's capacity-vs-cell-count table")
 	csRanges = flag.String("cs", "20,30,45", "comma-separated carrier-sense ranges (meters) for cellsweep's capacity-vs-CS-range table")
-	window   = flag.Float64("window", 0, "fixed-time-window saturation mode for cell/cellsweep: drain unbounded backlogs for this many virtual seconds (0 = drain fixed per-client backlogs)")
-	legacy   = flag.Bool("legacy", false, "run cell/cellsweep/crosstraffic* with their pre-model interference behavior (cellsweep keeps its binary CaptureDB gate; cell and the crosstraffic variants historically modeled no interference at all)")
+	window   = flag.Float64("window", 0, "fixed-time-window saturation mode for cell/cellsweep/metro: drain unbounded backlogs for this many virtual seconds (0 = drain fixed per-client backlogs)")
 	scenFile = flag.String("scenario", "", "path to a declarative scenario spec (JSON); with no experiment argument, runs the generic \"scenario\" experiment over it")
 	cpuprof  = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file (go tool pprof)")
 	memprof  = flag.String("memprofile", "", "write an allocation profile to this file at exit (go tool pprof)")
 )
-
-// workers translates the flags into the engine's convention: 1 worker when
-// -parallel=false, otherwise -workers (0 meaning one worker per CPU).
-func workers() int {
-	if !*parallel {
-		return 1
-	}
-	return *nworkers
-}
 
 // params assembles the experiments.Params the flags select, validating the
 // comma-separated sweep flags up front.
@@ -68,12 +58,11 @@ func params() experiments.Params {
 	return experiments.Params{
 		Seed:    *seed,
 		Quick:   *quick,
-		Workers: workers(),
+		Workers: *nworkers,
 		Options: experiments.Options{
 			Cells:     counts,
 			CSRanges:  ranges,
 			WindowSec: *window,
-			Legacy:    *legacy,
 		},
 	}
 }
@@ -106,7 +95,7 @@ func main() {
 			start := time.Now() //sslint:allow detwallclock stderr-only timing report; stdout stays byte-identical
 			run("scenario", p)
 			fmt.Fprintf(os.Stderr, "\ntotal wall clock: %.2fs (%d workers)\n",
-				time.Since(start).Seconds(), engine.WorkerCount(workers())) //sslint:allow detwallclock stderr-only timing report; stdout stays byte-identical
+				time.Since(start).Seconds(), engine.WorkerCount(*nworkers)) //sslint:allow detwallclock stderr-only timing report; stdout stays byte-identical
 			return
 		}
 	}
@@ -121,7 +110,7 @@ func main() {
 	// Timing goes to stderr so stdout stays byte-identical across runs
 	// (the tables are diffed to check worker-count determinism).
 	fmt.Fprintf(os.Stderr, "\ntotal wall clock: %.2fs (%d workers)\n",
-		time.Since(start).Seconds(), engine.WorkerCount(workers())) //sslint:allow detwallclock stderr-only timing report; stdout stays byte-identical
+		time.Since(start).Seconds(), engine.WorkerCount(*nworkers)) //sslint:allow detwallclock stderr-only timing report; stdout stays byte-identical
 }
 
 // startProfiles begins whatever profiling -cpuprofile/-memprofile request
@@ -169,7 +158,7 @@ func startProfiles() func() {
 }
 
 func usage() {
-	fmt.Fprintf(os.Stderr, "usage: ssbench [-seed N] [-quick] [-parallel=false] [-workers N] [-cells N,N,...] [-cs M,M,...] [-window SEC] [-legacy] [-cpuprofile FILE] [-memprofile FILE] <%s|all>\n       ssbench -scenario spec.json\n       ssbench -list\n",
+	fmt.Fprintf(os.Stderr, "usage: ssbench [-seed N] [-quick] [-workers N] [-cells N,N,...] [-cs M,M,...] [-window SEC] [-cpuprofile FILE] [-memprofile FILE] <%s|all>\n       ssbench -scenario spec.json\n       ssbench -list\n",
 		strings.Join(experiments.Names(), "|"))
 }
 

@@ -27,13 +27,6 @@ type CellOptions struct {
 	APs        int // M APs serving it
 	Packets    int // downlink packets per client
 	Payload    int
-	// Legacy disables the rate-aware interference model: no geometry is
-	// wired into the cell, so collisions destroy every frame uncondition-
-	// ally (the pre-model behavior). The default (false) runs the cell
-	// with netsim.RateAware engaged — colliding downlinks may capture at
-	// their own rate's decode threshold and surviving frames pay the
-	// effective-SNR degradation.
-	Legacy bool
 	// WindowSec switches to fixed-time-window saturation mode: unbounded
 	// backlogs drained for this many virtual seconds (Packets ignored), so
 	// one starved client no longer gates the elapsed time. 0 keeps the
@@ -66,7 +59,7 @@ type CellExpResult struct {
 	MeanCollisionRate float64
 	// MeanCaptureRate is captures per acquisition averaged over the joint
 	// runs: colliding frames the rate-aware model let survive at their own
-	// rate's decode threshold. 0 under Legacy.
+	// rate's decode threshold.
 	MeanCaptureRate float64
 	// RateCorruption aggregates the interference model's per-rate outcomes
 	// over every joint run (index = SampleRate rate index).
@@ -77,55 +70,36 @@ type CellExpResult struct {
 // over the floor, drops every client in usable-but-not-saturated range of
 // its nearest AP (as in Fig. 17's motivation), and drains each client's
 // backlog once with per-client best-single-AP service and once with
-// SourceSync joint transmissions. Unless o.Legacy is set, the cell runs
-// with the rate-aware interference model: colliding downlinks may capture
-// at their own rate's decode threshold and surviving frames pay the
-// effective-SNR degradation in their delivery draws.
+// SourceSync joint transmissions. The cell runs with the rate-aware
+// interference model: colliding downlinks may capture at their own rate's
+// decode threshold and surviving frames pay the effective-SNR degradation
+// in their delivery draws.
 func RunCell(o CellOptions) CellExpResult {
 	cfg := Profile80211()
 	env := testbed.Mesh(cfg)
 	m := mac.Default(cfg)
 	ec := engine.Config{Seed: o.Seed, Workers: o.Workers, Monitor: o.Monitor}
-	var model netsim.InterferenceModel
-	if !o.Legacy {
-		model = netsim.NewRateAware(cfg, modem.StandardRates(), o.Payload)
-	}
+	model := netsim.NewRateAware(cfg, modem.StandardRates(), o.Payload)
 
-	type plRes struct {
-		singleBps, jointBps        float64
-		collisionRate, captureRate float64
-		corruption                 []netsim.RateCorruption
-	}
-	rows := engine.Map(ec, 0, o.Placements, func(pl int, rng *rand.Rand) plRes {
+	rows := engine.Map(ec, 0, o.Placements, func(pl int, rng *rand.Rand) sweepPlacement {
 		aps, clientPos, links := placeCell(rng, env, o.APs, o.Clients)
 		apPos := make([][]testbed.Point, o.Clients)
 		for c := range apPos {
 			apPos[c] = aps
 		}
-		cell := lasthop.Cell{
+		// One collision domain (CSRangeM 0), with geometry wired so the
+		// interference model prices every collision.
+		return drainPlacement(lasthop.Cell{
 			Mac:              m,
 			PayloadBytes:     o.Payload,
 			Links:            links,
+			APPos:            apPos,
+			ClientPos:        clientPos,
 			PacketsPerClient: o.Packets,
+			Model:            model,
+			Env:              env,
 			WindowSec:        o.WindowSec,
-		}
-		if !o.Legacy {
-			// One collision domain still (CSRangeM 0), but with geometry
-			// wired so the interference model prices every collision.
-			cell.APPos = apPos
-			cell.ClientPos = clientPos
-			cell.Env = env
-			cell.Model = model
-		}
-		single := cell.RunBestSingleAP(rand.New(rand.NewSource(rng.Int63()))) //sslint:allow detrand child RNG bridged from the per-trial stream; the parent draw is part of the contracted draw order
-		joint := cell.RunJoint(rand.New(rand.NewSource(rng.Int63())))         //sslint:allow detrand child RNG bridged from the per-trial stream; the parent draw is part of the contracted draw order
-		r := plRes{singleBps: single.AggregateBps, jointBps: joint.AggregateBps,
-			corruption: joint.RateCorruption}
-		if joint.Acquisitions > 0 {
-			r.collisionRate = float64(joint.Collisions) / float64(joint.Acquisitions)
-			r.captureRate = float64(joint.Captures) / float64(joint.Acquisitions)
-		}
-		return r
+		}, rng)
 	})
 
 	var res CellExpResult
@@ -174,15 +148,7 @@ func placeCell(rng *rand.Rand, env *testbed.Testbed, nAPs, nClients int) (aps, c
 	links = make([][]testbed.Link, nClients)
 	clientPos = make([]testbed.Point, nClients)
 	for c := range links {
-		pos := env.RandomPointWhere(rng, 100000, func(p testbed.Point) bool {
-			nearest := testbed.Dist(p, aps[0])
-			for _, q := range aps[1:] {
-				if d := testbed.Dist(p, q); d < nearest {
-					nearest = d
-				}
-			}
-			return nearest >= 8 && nearest <= 25
-		})
+		pos := env.RandomPointWhere(rng, 100000, servedBy(aps))
 		links[c] = make([]testbed.Link, nAPs)
 		for a := range aps {
 			links[c][a] = env.NewLink(rng, aps[a], pos)
@@ -190,6 +156,37 @@ func placeCell(rng *rand.Rand, env *testbed.Testbed, nAPs, nClients int) (aps, c
 		clientPos[c] = pos
 	}
 	return aps, clientPos, links
+}
+
+// apNear is the AP acceptance predicate of the multi-cell layouts
+// (cellsweep, metro, multicell scenarios): within 10 m of the cell center
+// and at least 4 m from every AP placed before it.
+func apNear(center testbed.Point, earlier []testbed.Point) func(testbed.Point) bool {
+	return func(p testbed.Point) bool {
+		if testbed.Dist(p, center) > 10 {
+			return false
+		}
+		for _, q := range earlier {
+			if testbed.Dist(p, q) < 4 {
+				return false
+			}
+		}
+		return true
+	}
+}
+
+// servedBy is the client acceptance predicate every placement shares: the
+// nearest of aps sits 8-25 m away, a link with rate headroom.
+func servedBy(aps []testbed.Point) func(testbed.Point) bool {
+	return func(p testbed.Point) bool {
+		nearest := math.Inf(1)
+		for _, q := range aps {
+			if d := testbed.Dist(p, q); d < nearest {
+				nearest = d
+			}
+		}
+		return nearest >= 8 && nearest <= 25
+	}
 }
 
 // ---------------------------------------------------------- crosstraffic
@@ -210,10 +207,6 @@ type CrossTrafficOptions struct {
 	// standard rate table (instead of the fixed RateMbps), so rate
 	// adaptation reacts to contention and interference-degraded loss.
 	AdaptCross bool
-	// Legacy disables the rate-aware interference model; collisions then
-	// destroy every frame and hidden terminals never interfere (the
-	// pre-model behavior).
-	Legacy bool
 	// CSRangeM is the carrier-sense range between cross-flow transmitters
 	// (meters). 0 keeps the classic single collision domain; positive
 	// values enable spatial reuse — and hidden terminals — between cross
@@ -301,16 +294,13 @@ func RunCrossTraffic(o CrossTrafficOptions) CrossTrafficResult {
 	}
 	m := mac.Default(cfg)
 	ec := engine.Config{Seed: o.Seed, Workers: o.Workers, Monitor: o.Monitor}
-	var model netsim.InterferenceModel
-	if !o.Legacy {
-		// The cross flows' rate table: the standard rates under AdaptCross,
-		// the single fixed rate otherwise.
-		rates := []modem.Rate{rate}
-		if o.AdaptCross {
-			rates = modem.StandardRates()
-		}
-		model = netsim.NewRateAware(cfg, rates, o.Payload)
+	// The cross flows' rate table: the standard rates under AdaptCross,
+	// the single fixed rate otherwise.
+	rates := []modem.Rate{rate}
+	if o.AdaptCross {
+		rates = modem.StandardRates()
 	}
+	model := netsim.NewRateAware(cfg, rates, o.Payload)
 
 	type tpRes struct {
 		spAlone, spLoaded, ssAlone, ssLoaded float64

@@ -29,16 +29,6 @@ type CellSweepOptions struct {
 	Packets    int   // downlink packets per client
 	Payload    int
 	CSRangeM   float64 // carrier-sense range between transmitters (meters)
-	// CaptureDB is the SINR threshold of the legacy binary interference
-	// model: it gates physical-layer capture within collisions and decode
-	// against hidden-terminal interference from out-of-range cells. 0
-	// disables both. Used only under Legacy.
-	CaptureDB float64
-	// Legacy runs the sweep on the historical binary CaptureDB gate
-	// instead of the rate-aware effective-SNR model (the default): under
-	// rate-aware, every interfered downlink is corrupted or degraded at
-	// its own rate's decode threshold.
-	Legacy bool
 	// WindowSec switches every run to fixed-time-window saturation mode:
 	// unbounded backlogs drained for this many virtual seconds (Packets
 	// ignored), so one starved boundary client no longer gates a run's
@@ -53,29 +43,13 @@ type CellSweepOptions struct {
 	Monitor *engine.Monitor
 }
 
-// model returns the interference model the sweep runs: nil (the binary
-// CaptureDB gate) under Legacy, otherwise rate-aware decode thresholds
-// over the SampleRate rate table. Models are read-only after construction,
-// so one instance is shared across all worker goroutines.
-func (o CellSweepOptions) model(cfg *modem.Config) netsim.InterferenceModel {
-	if o.Legacy {
-		return nil
-	}
-	return netsim.NewRateAware(cfg, modem.StandardRates(), o.Payload)
-}
-
 // DefaultCellSweepOptions returns the parameters used by ssbench: two
 // cells, two APs each, clients swept 1..8 per cell, 30 m carrier sense.
-// The default sweep runs the rate-aware interference model (each downlink
-// gated at its own rate's decode threshold); the 6 dB CaptureDB only
-// applies under Legacy, where it approximates the robust rates' decode
-// margin so hidden-terminal corruption bites at cell boundaries without
-// drowning the reuse the sweep exists to measure.
 func DefaultCellSweepOptions() CellSweepOptions {
 	return CellSweepOptions{
 		Seed: 11, Placements: 10, Cells: 2, APsPerCell: 2,
 		ClientsPer: []int{1, 2, 4, 6, 8}, Packets: 60, Payload: 1460,
-		CSRangeM: 30, CaptureDB: 6,
+		CSRangeM: 30,
 	}
 }
 
@@ -136,7 +110,8 @@ type CellSweepResult struct {
 	Points []CellSweepPoint
 }
 
-// cellSpacing returns the distance between adjacent cell centers. Two
+// cellSpacing returns the distance between adjacent cell centers of
+// cellsweep's row and metro's grid at carrier-sense range csRangeM. Two
 // constraints set the floor: APs sit up to 10 m from their center, so
 // cross-cell AP pairs are spacing-20 apart and must clear carrier sense
 // (the 2x term); and clients roam up to 35 m from their center (25 m from
@@ -145,11 +120,11 @@ type CellSweepResult struct {
 // that worst-case receiver a full carrier-sense range from the hidden
 // transmitters next door, bounding (not eliminating) hidden-terminal
 // corruption at cell boundaries.
-func (o CellSweepOptions) cellSpacing() float64 {
-	if o.CSRangeM <= 0 {
+func cellSpacing(csRangeM float64) float64 {
+	if csRangeM <= 0 {
 		return 60
 	}
-	return math.Max(2*o.CSRangeM, o.CSRangeM+45)
+	return math.Max(2*csRangeM, csRangeM+45)
 }
 
 // buildMultiCell lays one placement out on a floor wide enough for every
@@ -158,7 +133,7 @@ func (o CellSweepOptions) cellSpacing() float64 {
 // RunCell places a single cell. Client flows are ordered cell-major so runs
 // reduce deterministically.
 func buildMultiCell(rng *rand.Rand, env *testbed.Testbed, m mac.Params, o CellSweepOptions, model netsim.InterferenceModel, clientsPer int) lasthop.Cell {
-	spacing := o.cellSpacing()
+	spacing := cellSpacing(o.CSRangeM)
 	nClients := o.Cells * clientsPer
 	cell := lasthop.Cell{
 		Mac:              m,
@@ -168,7 +143,6 @@ func buildMultiCell(rng *rand.Rand, env *testbed.Testbed, m mac.Params, o CellSw
 		ClientPos:        make([]testbed.Point, 0, nClients),
 		PacketsPerClient: o.Packets,
 		CSRangeM:         o.CSRangeM,
-		CaptureDB:        o.CaptureDB,
 		Model:            model,
 		Env:              env,
 		WindowSec:        o.WindowSec,
@@ -177,28 +151,10 @@ func buildMultiCell(rng *rand.Rand, env *testbed.Testbed, m mac.Params, o CellSw
 		center := testbed.Point{X: spacing/2 + float64(c)*spacing, Y: env.Height / 2}
 		aps := make([]testbed.Point, o.APsPerCell)
 		for a := range aps {
-			aps[a] = env.RandomPointWhere(rng, 100000, func(p testbed.Point) bool {
-				if testbed.Dist(p, center) > 10 {
-					return false
-				}
-				for _, q := range aps[:a] {
-					if testbed.Dist(p, q) < 4 {
-						return false
-					}
-				}
-				return true
-			})
+			aps[a] = env.RandomPointWhere(rng, 100000, apNear(center, aps[:a]))
 		}
 		for k := 0; k < clientsPer; k++ {
-			pos := env.RandomPointWhere(rng, 100000, func(p testbed.Point) bool {
-				nearest := testbed.Dist(p, aps[0])
-				for _, q := range aps[1:] {
-					if d := testbed.Dist(p, q); d < nearest {
-						nearest = d
-					}
-				}
-				return nearest >= 8 && nearest <= 25
-			})
+			pos := env.RandomPointWhere(rng, 100000, servedBy(aps))
 			links := make([]testbed.Link, o.APsPerCell)
 			for a := range aps {
 				links[a] = env.NewLink(rng, aps[a], pos)
@@ -212,7 +168,7 @@ func buildMultiCell(rng *rand.Rand, env *testbed.Testbed, m mac.Params, o CellSw
 }
 
 // sweepPlacement is one placement's joint-vs-single comparison, shared by
-// the clients-per-cell, cell-count, and carrier-sense sweeps.
+// the cell experiment, cellsweep's three sweeps and metro.
 type sweepPlacement struct {
 	singleBps, jointBps       float64
 	collisionRate, hiddenRate float64
@@ -221,10 +177,10 @@ type sweepPlacement struct {
 	corruption                []netsim.RateCorruption
 }
 
-// runPlacement lays out one multi-cell placement and drains it under both
-// serving modes on the shared spatial-reuse simulator.
-func runPlacement(rng *rand.Rand, env *testbed.Testbed, m mac.Params, o CellSweepOptions, model netsim.InterferenceModel, clientsPer int) sweepPlacement {
-	cell := buildMultiCell(rng, env, m, o, model, clientsPer)
+// drainPlacement drains one laid-out placement under both serving modes,
+// best single AP then joint, each on a child RNG drawn from rng in that
+// order.
+func drainPlacement(cell lasthop.Cell, rng *rand.Rand) sweepPlacement {
 	single := cell.RunBestSingleAP(rand.New(rand.NewSource(rng.Int63()))) //sslint:allow detrand child RNG bridged from the per-trial stream; the parent draw is part of the contracted draw order
 	joint := cell.RunJoint(rand.New(rand.NewSource(rng.Int63())))         //sslint:allow detrand child RNG bridged from the per-trial stream; the parent draw is part of the contracted draw order
 	r := sweepPlacement{
@@ -291,13 +247,13 @@ func RunCellSweep(o CellSweepOptions) CellSweepResult {
 	env := testbed.Mesh(cfg)
 	// Widen the floor to hold every cell; height (and the 8-25 m client
 	// annulus) stay as in the single-cell experiment.
-	env.Width = float64(o.Cells) * o.cellSpacing()
+	env.Width = float64(o.Cells) * cellSpacing(o.CSRangeM)
 	m := mac.Default(cfg)
-	model := o.model(cfg)
+	model := netsim.NewRateAware(cfg, modem.StandardRates(), o.Payload)
 	ec := engine.Config{Seed: o.Seed, Workers: o.Workers, Monitor: o.Monitor}
 
 	rows := engine.Grid(ec, len(o.ClientsPer), o.Placements, func(pt, pl int, rng *rand.Rand) sweepPlacement {
-		return runPlacement(rng, env, m, o, model, o.ClientsPer[pt])
+		return drainPlacement(buildMultiCell(rng, env, m, o, model, o.ClientsPer[pt]), rng)
 	})
 
 	res := CellSweepResult{Points: make([]CellSweepPoint, len(o.ClientsPer))}
@@ -325,15 +281,15 @@ type CellCountPoint struct {
 func RunCellCountSweep(o CellSweepOptions, cellCounts []int, clientsPer int) []CellCountPoint {
 	cfg := Profile80211()
 	m := mac.Default(cfg)
-	model := o.model(cfg)
+	model := netsim.NewRateAware(cfg, modem.StandardRates(), o.Payload)
 	ec := engine.Config{Seed: o.Seed, Workers: o.Workers, Monitor: o.Monitor}
 
 	rows := engine.Grid(ec, len(cellCounts), o.Placements, func(pt, pl int, rng *rand.Rand) sweepPlacement {
 		oc := o
 		oc.Cells = cellCounts[pt]
 		env := testbed.Mesh(cfg)
-		env.Width = float64(oc.Cells) * oc.cellSpacing()
-		return runPlacement(rng, env, m, oc, model, clientsPer)
+		env.Width = float64(oc.Cells) * cellSpacing(oc.CSRangeM)
+		return drainPlacement(buildMultiCell(rng, env, m, oc, model, clientsPer), rng)
 	})
 
 	out := make([]CellCountPoint, len(cellCounts))
@@ -363,15 +319,15 @@ type CSRangePoint struct {
 func RunCSRangeSweep(o CellSweepOptions, csRanges []float64, clientsPer int) []CSRangePoint {
 	cfg := Profile80211()
 	m := mac.Default(cfg)
-	model := o.model(cfg)
+	model := netsim.NewRateAware(cfg, modem.StandardRates(), o.Payload)
 	ec := engine.Config{Seed: o.Seed, Workers: o.Workers, Monitor: o.Monitor}
 
 	rows := engine.Grid(ec, len(csRanges), o.Placements, func(pt, pl int, rng *rand.Rand) sweepPlacement {
 		oc := o
 		oc.CSRangeM = csRanges[pt]
 		env := testbed.Mesh(cfg)
-		env.Width = float64(oc.Cells) * oc.cellSpacing()
-		return runPlacement(rng, env, m, oc, model, clientsPer)
+		env.Width = float64(oc.Cells) * cellSpacing(oc.CSRangeM)
+		return drainPlacement(buildMultiCell(rng, env, m, oc, model, clientsPer), rng)
 	})
 
 	out := make([]CSRangePoint, len(csRanges))

@@ -78,19 +78,6 @@ type MetroResult struct {
 	Points []MetroPoint
 }
 
-// metroSpacing is the cell pitch of the city grid, sized like cellsweep's
-// single-row spacing: adjacent-cell APs clear carrier sense and worst-case
-// clients sit a full carrier-sense range from next-door transmitters.
-func (o MetroOptions) metroSpacing() float64 {
-	if o.CSRangeM <= 0 {
-		return 60
-	}
-	if 2*o.CSRangeM > o.CSRangeM+45 {
-		return 2 * o.CSRangeM
-	}
-	return o.CSRangeM + 45
-}
-
 // metroPoint draws a point uniformly in the square of half-width h around
 // center, rejected until accept holds. Sampling is local to the cell —
 // rejection over the whole city floor would burn thousands of draws per
@@ -115,7 +102,7 @@ func metroPoint(rng *rand.Rand, center testbed.Point, h float64, attempts int, a
 // geometry as cellsweep, tiled in two dimensions. Client flows are ordered
 // cell-major (row-major over the grid), so runs reduce deterministically.
 func buildMetro(rng *rand.Rand, env *testbed.Testbed, m mac.Params, o MetroOptions, model netsim.InterferenceModel, clientsPer int) lasthop.Cell {
-	spacing := o.metroSpacing()
+	spacing := cellSpacing(o.CSRangeM)
 	nClients := o.Cells() * clientsPer
 	cell := lasthop.Cell{
 		Mac:                m,
@@ -138,28 +125,10 @@ func buildMetro(rng *rand.Rand, env *testbed.Testbed, m mac.Params, o MetroOptio
 			}
 			aps := make([]testbed.Point, o.APsPerCell)
 			for a := range aps {
-				aps[a] = metroPoint(rng, center, 10, 100000, func(p testbed.Point) bool {
-					if testbed.Dist(p, center) > 10 {
-						return false
-					}
-					for _, q := range aps[:a] {
-						if testbed.Dist(p, q) < 4 {
-							return false
-						}
-					}
-					return true
-				})
+				aps[a] = metroPoint(rng, center, 10, 100000, apNear(center, aps[:a]))
 			}
 			for k := 0; k < clientsPer; k++ {
-				pos := metroPoint(rng, center, 35, 100000, func(p testbed.Point) bool {
-					nearest := testbed.Dist(p, aps[0])
-					for _, q := range aps[1:] {
-						if d := testbed.Dist(p, q); d < nearest {
-							nearest = d
-						}
-					}
-					return nearest >= 8 && nearest <= 25
-				})
+				pos := metroPoint(rng, center, 35, 100000, servedBy(aps))
 				links := make([]testbed.Link, o.APsPerCell)
 				for a := range aps {
 					links[a] = env.NewLink(rng, aps[a], pos)
@@ -178,11 +147,11 @@ func buildMetro(rng *rand.Rand, env *testbed.Testbed, m mac.Params, o MetroOptio
 // whole city Placements times, drains each layout once under each serving
 // mode, and reduces medians in placement order. The interference model is
 // rate-aware throughout — the metro question is precisely how interference
-// scales with density, so there is no legacy mode.
+// scales with density.
 func RunMetro(o MetroOptions) MetroResult {
 	cfg := Profile80211()
 	env := testbed.Mesh(cfg)
-	spacing := o.metroSpacing()
+	spacing := cellSpacing(o.CSRangeM)
 	env.Width = float64(o.CellsX) * spacing
 	env.Height = float64(o.CellsY) * spacing
 	m := mac.Default(cfg)
@@ -190,21 +159,7 @@ func RunMetro(o MetroOptions) MetroResult {
 	ec := engine.Config{Seed: o.Seed, Workers: o.Workers, Monitor: o.Monitor}
 
 	rows := engine.Grid(ec, len(o.ClientsPer), o.Placements, func(pt, pl int, rng *rand.Rand) sweepPlacement {
-		cell := buildMetro(rng, env, m, o, model, o.ClientsPer[pt])
-		single := cell.RunBestSingleAP(rand.New(rand.NewSource(rng.Int63()))) //sslint:allow detrand child RNG bridged from the per-trial stream; the parent draw is part of the contracted draw order
-		joint := cell.RunJoint(rand.New(rand.NewSource(rng.Int63())))         //sslint:allow detrand child RNG bridged from the per-trial stream; the parent draw is part of the contracted draw order
-		r := sweepPlacement{
-			singleBps:  single.AggregateBps,
-			jointBps:   joint.AggregateBps,
-			utiliz:     joint.Utilization,
-			corruption: joint.RateCorruption,
-		}
-		if joint.Acquisitions > 0 {
-			r.collisionRate = float64(joint.Collisions) / float64(joint.Acquisitions)
-			r.hiddenRate = float64(joint.HiddenLosses) / float64(joint.Acquisitions)
-			r.captureRate = float64(joint.Captures) / float64(joint.Acquisitions)
-		}
-		return r
+		return drainPlacement(buildMetro(rng, env, m, o, model, o.ClientsPer[pt]), rng)
 	})
 
 	res := MetroResult{Points: make([]MetroPoint, len(o.ClientsPer))}

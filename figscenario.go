@@ -191,17 +191,7 @@ func buildScenarioTopology(rng *rand.Rand, env *testbed.Testbed, sp *scenario.Sp
 		center := testbed.Point{X: spacing/2 + float64(ci)*spacing}
 		aps := make([]testbed.Point, sp.Topology.APs)
 		for a := range aps {
-			aps[a] = metroPoint(rng, center, 10, 100000, func(p testbed.Point) bool {
-				if testbed.Dist(p, center) > 10 {
-					return false
-				}
-				for _, q := range aps[:a] {
-					if testbed.Dist(p, q) < 4 {
-						return false
-					}
-				}
-				return true
-			})
+			aps[a] = metroPoint(rng, center, 10, 100000, apNear(center, aps[:a]))
 		}
 		t.cellAPs = append(t.cellAPs, aps)
 	}
@@ -209,15 +199,7 @@ func buildScenarioTopology(rng *rand.Rand, env *testbed.Testbed, sp *scenario.Sp
 		center := testbed.Point{X: spacing/2 + float64(ci)*spacing}
 		aps := t.cellAPs[ci]
 		for c := 0; c < sp.Topology.Clients; c++ {
-			pos := metroPoint(rng, center, 36, 100000, func(p testbed.Point) bool {
-				nearest := math.Inf(1)
-				for _, q := range aps {
-					if d := testbed.Dist(p, q); d < nearest {
-						nearest = d
-					}
-				}
-				return nearest >= 8 && nearest <= 25
-			})
+			pos := metroPoint(rng, center, 36, 100000, servedBy(aps))
 			t.clients = append(t.clients, scenClient{
 				pos: pos, cell: ci, links: meanLinks(env, aps, pos),
 			})

@@ -126,6 +126,15 @@ func PointRNG(seed int64, point int) *rand.Rand {
 // behind a fixed pre-partition. A non-nil Monitor sees every scheduled
 // trial in Total and every completed one in Done, and its Cancel stops
 // further pickups (already-started trials finish).
+//
+// A trial that panics on a worker goroutine would take the whole process
+// down, out of reach of any recover in the caller. Workers therefore
+// recover each trial's panic and stop picking up trials; once the pool has
+// drained, run re-panics on the calling goroutine with the panic of the
+// lowest-numbered trial that panicked. Trials are picked up in index
+// order, so every trial below the first one to panic has started and
+// runs to its end: that lowest panicking trial, and with it the panic
+// value, does not depend on scheduling.
 func run(workers, n int, m *Monitor, fn func(i int)) {
 	if n <= 0 {
 		return
@@ -148,21 +157,35 @@ func run(workers, n int, m *Monitor, fn func(i int)) {
 		}
 		return
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
+	var (
+		next       atomic.Int64
+		failed     atomic.Bool
+		mu         sync.Mutex
+		firstPanic = n // lowest trial that panicked; n while none has
+		panicVal   any
+		wg         sync.WaitGroup
+	)
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
 			for {
-				if m != nil && m.Canceled() {
+				if failed.Load() || (m != nil && m.Canceled()) {
 					return
 				}
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
-				fn(i)
+				if p, ok := runTrial(fn, i); !ok {
+					mu.Lock()
+					if i < firstPanic {
+						firstPanic, panicVal = i, p
+					}
+					mu.Unlock()
+					failed.Store(true)
+					return
+				}
 				if m != nil {
 					m.done.Add(1)
 				}
@@ -170,6 +193,21 @@ func run(workers, n int, m *Monitor, fn func(i int)) {
 		}()
 	}
 	wg.Wait()
+	if firstPanic < n {
+		panic(panicVal)
+	}
+}
+
+// runTrial calls fn(i), reporting ok = false and the recovered value if it
+// panicked.
+func runTrial(fn func(i int), i int) (p any, ok bool) {
+	defer func() {
+		if !ok {
+			p = recover()
+		}
+	}()
+	fn(i)
+	return nil, true
 }
 
 // Map runs n trials of one operating point and returns their results in

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sync/atomic"
@@ -139,5 +140,29 @@ func TestRunHandlesEmptyAndSmall(t *testing.T) {
 	got := Map(Config{Workers: 64}, 0, 3, func(trial int, _ *rand.Rand) int { return trial })
 	if len(got) != 3 || got[0] != 0 || got[2] != 2 {
 		t.Fatalf("small map: %v", got)
+	}
+}
+
+// TestTrialPanicReachesCaller pins that a trial panicking on a worker
+// goroutine re-panics on the goroutine that called Map — where a recover
+// can catch it — with the lowest panicking trial's value at every worker
+// count, however the pool happened to schedule.
+func TestTrialPanicReachesCaller(t *testing.T) {
+	catch := func(workers int) (p any) {
+		defer func() { p = recover() }()
+		Map(Config{Seed: 1, Workers: workers}, 0, 64, func(trial int, rng *rand.Rand) int {
+			if trial == 10 || trial == 11 || trial == 40 {
+				panic(fmt.Sprintf("trial %d failed", trial))
+			}
+			return trial
+		})
+		return nil
+	}
+	for _, workers := range []int{1, 2, 4, 8} {
+		for rep := 0; rep < 20; rep++ {
+			if got := catch(workers); got != "trial 10 failed" {
+				t.Fatalf("workers=%d: recovered %v, want the panic of trial 10", workers, got)
+			}
+		}
 	}
 }

@@ -230,16 +230,11 @@ func specDoc() SpecDoc {
 			"options":     "experiment-shaping knobs; see \"options\" below",
 			"scenario":    `inline declarative scenario spec; required by and exclusive to experiment "scenario"`,
 			"timeout_sec": "cap on run time; 0 = server default",
-			"cells":       "deprecated flat alias for options.cells",
-			"cs_ranges":   "deprecated flat alias for options.cs_ranges",
-			"window_sec":  "deprecated flat alias for options.window_sec",
-			"legacy":      "deprecated flat alias for options.legacy",
 		},
 		Options: map[string]string{
 			"cells":      "cellsweep's capacity-vs-cell-count sweep",
 			"cs_ranges":  "cellsweep's carrier-sense sweep (meters)",
 			"window_sec": "fixed-time-window saturation mode",
-			"legacy":     "pre-model interference behavior",
 		},
 	}
 }

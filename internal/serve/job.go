@@ -13,21 +13,6 @@ import (
 	"repro/internal/scenario"
 )
 
-// Options groups the experiment-shaping knobs (ssbench's -cells, -cs,
-// -window, -legacy) into one typed sub-object of the job spec. It mirrors
-// experiments.Options field for field, so a spec's options translate into
-// Params without interpretation.
-type Options struct {
-	// Cells is cellsweep's capacity-vs-cell-count sweep (ssbench -cells).
-	Cells []int `json:"cells,omitempty"`
-	// CSRanges is cellsweep's carrier-sense sweep in meters (ssbench -cs).
-	CSRanges []float64 `json:"cs_ranges,omitempty"`
-	// WindowSec selects fixed-time-window saturation mode (ssbench -window).
-	WindowSec float64 `json:"window_sec,omitempty"`
-	// Legacy selects the pre-model interference behavior (ssbench -legacy).
-	Legacy bool `json:"legacy,omitempty"`
-}
-
 // Spec is the client-facing description of one experiment job, as posted
 // to POST /jobs. The zero value of every optional field means "ssbench's
 // default": seed nil is seed 1, empty sweep lists are the standard sweep
@@ -36,10 +21,9 @@ type Options struct {
 // The wire format is versioned: "version" empty or "v1" selects this
 // format; anything else is rejected so a future v2 can change semantics
 // without silently misreading old clients. The experiment-shaping knobs
-// live in the "options" sub-object; the original flat spellings (cells,
-// cs_ranges, window_sec, legacy) remain accepted as aliases for
-// backward compatibility, but mixing the two forms in one spec is
-// rejected rather than guessed at.
+// (ssbench's -cells, -cs, -window) live in the "options" sub-object and
+// nowhere else; decoding is strict, so any other spelling is a 400 that
+// names the field.
 type Spec struct {
 	// Version selects the wire format: "" or "v1". Anything else is a 400.
 	Version string `json:"version,omitempty"`
@@ -55,10 +39,10 @@ type Spec struct {
 	// contract it cannot change the output bytes, so it is excluded from
 	// the job's cache key.
 	Workers int `json:"workers,omitempty"`
-	// Options groups the experiment-shaping knobs. After normalize it is
-	// always non-nil with the default sweeps filled in; on the wire it may
-	// be omitted in favor of the flat aliases below.
-	Options *Options `json:"options,omitempty"`
+	// Options groups the experiment-shaping knobs; it is handed to the
+	// experiments package as is. After normalize it is always non-nil
+	// with the default sweeps filled in; on the wire it may be omitted.
+	Options *experiments.Options `json:"options,omitempty"`
 	// Scenario is an inline declarative scenario spec (the same JSON
 	// ssbench -scenario reads from a file), required by — and only
 	// accepted with — the generic "scenario" experiment. It is parsed
@@ -67,23 +51,10 @@ type Spec struct {
 	// TimeoutSec caps this job's run time; 0 uses the server's default.
 	// A timed-out job is cooperatively canceled and reported failed.
 	TimeoutSec float64 `json:"timeout_sec,omitempty"`
-
-	// Flat aliases for Options, the pre-versioning wire spelling. Folded
-	// into Options by normalize; setting both forms at once is an error.
-	Cells     []int     `json:"cells,omitempty"`
-	CSRanges  []float64 `json:"cs_ranges,omitempty"`
-	WindowSec float64   `json:"window_sec,omitempty"`
-	Legacy    bool      `json:"legacy,omitempty"`
 }
 
-// flatOptionsSet reports whether any of the flat alias fields is set.
-func (sp Spec) flatOptionsSet() bool {
-	return len(sp.Cells) > 0 || len(sp.CSRanges) > 0 || sp.WindowSec != 0 || sp.Legacy
-}
-
-// normalize lower-cases the experiment, folds the flat option aliases
-// into the Options sub-object, fills defaults, and validates, returning
-// the canonical Spec every later stage (cache key, params) uses.
+// normalize lower-cases the experiment, fills defaults, and validates,
+// returning the canonical Spec every later stage (cache key, params) uses.
 func (sp Spec) normalize() (Spec, error) {
 	if sp.Version != "" && sp.Version != "v1" {
 		return sp, fmt.Errorf("unsupported spec version %q (this server speaks \"v1\"; omit the field or send \"v1\")", sp.Version)
@@ -107,14 +78,9 @@ func (sp Spec) normalize() (Spec, error) {
 	if sp.TimeoutSec < 0 {
 		return sp, fmt.Errorf("timeout_sec %g < 0", sp.TimeoutSec)
 	}
-	switch {
-	case sp.Options != nil && sp.flatOptionsSet():
-		return sp, fmt.Errorf(`spec sets both the "options" object and a flat option field (cells, cs_ranges, window_sec, or legacy); use one form`)
-	case sp.Options == nil:
-		sp.Options = &Options{Cells: sp.Cells, CSRanges: sp.CSRanges,
-			WindowSec: sp.WindowSec, Legacy: sp.Legacy}
+	if sp.Options == nil {
+		sp.Options = &experiments.Options{}
 	}
-	sp.Cells, sp.CSRanges, sp.WindowSec, sp.Legacy = nil, nil, 0, false
 	d := experiments.DefaultParams()
 	if len(sp.Options.Cells) == 0 {
 		sp.Options.Cells = d.Options.Cells
@@ -153,7 +119,7 @@ func (sp Spec) params(m *engine.Monitor) experiments.Params {
 	}
 	opts := experiments.Options{}
 	if sp.Options != nil {
-		opts = experiments.Options(*sp.Options)
+		opts = *sp.Options
 	}
 	p := experiments.Params{
 		Seed:    seed,
@@ -188,12 +154,12 @@ func (sp Spec) Key() string {
 	if sp.Seed != nil {
 		seed = *sp.Seed
 	}
-	o := Options{}
+	o := experiments.Options{}
 	if sp.Options != nil {
 		o = *sp.Options
 	}
-	return fmt.Sprintf("%s|seed=%d|quick=%t|cells=%v|cs=%v|window=%g|legacy=%t|scenario=%s",
-		sp.Experiment, seed, sp.Quick, o.Cells, o.CSRanges, o.WindowSec, o.Legacy, sp.Scenario)
+	return fmt.Sprintf("%s|seed=%d|quick=%t|cells=%v|cs=%v|window=%g|scenario=%s",
+		sp.Experiment, seed, sp.Quick, o.Cells, o.CSRanges, o.WindowSec, sp.Scenario)
 }
 
 // State is a job's lifecycle position. Terminal states are done, failed,

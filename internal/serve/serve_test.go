@@ -64,7 +64,7 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 		{Experiment: "nope"},
 		{Experiment: "fig12", Workers: -1},
 		{Experiment: "fig12", TimeoutSec: -2},
-		{Experiment: "cellsweep", Cells: []int{0}},
+		{Experiment: "cellsweep", Options: &experiments.Options{Cells: []int{0}}},
 	} {
 		if _, err := s.Submit(spec); err == nil {
 			t.Errorf("Submit(%+v) accepted a bad spec", spec)
@@ -295,6 +295,39 @@ func TestRunPanicBecomesFailed(t *testing.T) {
 	}
 	if st := j.Status(); !strings.Contains(st.Error, "boom") {
 		t.Errorf("error = %q, want the panic value", st.Error)
+	}
+}
+
+// infeasibleScenarioJSON passes scenario validation but cannot be laid
+// out: twenty APs a quarter floor-width apart do not fit on the floor, so
+// placement panics inside an engine trial.
+const infeasibleScenarioJSON = `{"version":1,"name":"x",
+	"topology":{"family":"cell","placements":4,"aps":20,"clients":2},
+	"traffic":{"model":"backlogged","packets":4,"payload_bytes":100}}`
+
+// TestTrialPanicOnWorkerFailsJob pins that a panic inside an engine worker
+// goroutine (not the job's own render goroutine) fails the job instead of
+// killing the daemon, which then goes on serving.
+func TestTrialPanicOnWorkerFailsJob(t *testing.T) {
+	s := New(Config{MaxRunning: 1})
+	defer s.Close()
+	j, err := s.Submit(Spec{Experiment: "scenario", Workers: 2,
+		Scenario: json.RawMessage(infeasibleScenarioJSON)})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if st := waitState(t, j); st != StateFailed {
+		t.Fatalf("state = %s, want failed", st)
+	}
+	if st := j.Status(); !strings.Contains(st.Error, "experiment panicked") {
+		t.Errorf("error = %q, want an experiment panic", st.Error)
+	}
+	ok, err := s.Submit(Spec{Experiment: "fig12", Quick: true})
+	if err != nil {
+		t.Fatalf("Submit after a failed job: %v", err)
+	}
+	if st := waitState(t, ok); st != StateDone {
+		t.Fatalf("follow-up fig12 state = %s, want done", st)
 	}
 }
 

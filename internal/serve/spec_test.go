@@ -11,6 +11,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/experiments"
 )
 
 // validScenarioJSON is examples/arrivals.json shrunk to one rate, small
@@ -36,12 +38,12 @@ func TestNormalizeRejectionTable(t *testing.T) {
 		{"unknown experiment", Spec{Experiment: "nope"}, `"nope"`},
 		{"negative workers", Spec{Experiment: "fig12", Workers: -1}, "workers"},
 		{"negative timeout", Spec{Experiment: "fig12", TimeoutSec: -2}, "timeout_sec"},
-		{"options and flat alias", Spec{Experiment: "cellsweep",
-			Options: &Options{Cells: []int{2}}, Cells: []int{3}}, "both"},
 		{"bad option value", Spec{Experiment: "cellsweep",
-			Options: &Options{Cells: []int{0}}}, "cell count"},
-		{"bad flat alias value", Spec{Experiment: "cellsweep",
-			CSRanges: []float64{-1}}, "carrier-sense"},
+			Options: &experiments.Options{Cells: []int{0}}}, "cell count"},
+		{"bad cs_ranges option", Spec{Experiment: "cellsweep",
+			Options: &experiments.Options{CSRanges: []float64{-1}}}, "carrier-sense"},
+		{"negative window option", Spec{Experiment: "cell",
+			Options: &experiments.Options{WindowSec: -1}}, "window"},
 		{"scenario without spec", Spec{Experiment: "scenario"}, "requires an inline"},
 		{"scenario on other experiment", Spec{Experiment: "fig12",
 			Scenario: json.RawMessage(validScenarioJSON)}, `only accepted with experiment "scenario"`},
@@ -66,31 +68,6 @@ func TestNormalizeRejectionTable(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.wantSub)
 			}
 		})
-	}
-}
-
-// TestNormalizeFoldsFlatAliases pins the backward-compatible wire format:
-// a pre-versioning client's flat fields land in the canonical Options
-// sub-object, and both spellings produce the same cache key.
-func TestNormalizeFoldsFlatAliases(t *testing.T) {
-	flat, err := Spec{Experiment: "cellsweep", Cells: []int{2, 4},
-		CSRanges: []float64{25}, WindowSec: 1.5}.normalize()
-	if err != nil {
-		t.Fatalf("flat spelling rejected: %v", err)
-	}
-	structured, err := Spec{Version: "v1", Experiment: "cellsweep",
-		Options: &Options{Cells: []int{2, 4}, CSRanges: []float64{25}, WindowSec: 1.5}}.normalize()
-	if err != nil {
-		t.Fatalf("structured spelling rejected: %v", err)
-	}
-	if flat.Options == nil || !reflect.DeepEqual(flat.Options, structured.Options) {
-		t.Fatalf("flat aliases not folded: %+v vs %+v", flat.Options, structured.Options)
-	}
-	if flat.flatOptionsSet() {
-		t.Fatalf("flat fields survive normalization: %+v", flat)
-	}
-	if flat.Key() != structured.Key() {
-		t.Fatalf("same job, different cache keys:\n %s\n %s", flat.Key(), structured.Key())
 	}
 }
 
@@ -139,7 +116,12 @@ func TestSubmitHTTPRejectionsAre400(t *testing.T) {
 	}{
 		{"unknown spec field", `{"experiment":"fig12","cs_rangs":[20]}`, "cs_rangs"},
 		{"future version", `{"version":"v2","experiment":"fig12"}`, "v2"},
-		{"options/flat conflict", `{"experiment":"cellsweep","options":{"cells":[2]},"cells":[3]}`, "both"},
+		// The options knobs have one spelling, inside "options"; the
+		// removed flat aliases and the removed legacy mode are unknown
+		// fields like any other.
+		{"flat cells field", `{"experiment":"cellsweep","cells":[3]}`, `"cells"`},
+		{"flat legacy field", `{"experiment":"cell","legacy":true}`, `"legacy"`},
+		{"legacy option", `{"experiment":"cell","options":{"legacy":true}}`, `"legacy"`},
 		{"scenario typo", `{"experiment":"scenario","scenario":{"version":1,"name":"t",
 			"topology":{"family":"cell","placements":2,"aps":2,"clients":4,"cs_rangs":20},
 			"traffic":{"model":"poisson","payload_bytes":1460,"rate_pps":100,"window_sec":0.5}}}`, "cs_rangs"},
@@ -211,7 +193,7 @@ func TestSpecEndpointMatchesSpecStruct(t *testing.T) {
 		}
 	}
 	check("fields", doc.Fields, reflect.TypeOf(Spec{}))
-	check("options", doc.Options, reflect.TypeOf(Options{}))
+	check("options", doc.Options, reflect.TypeOf(experiments.Options{}))
 
 	found := false
 	for _, name := range doc.Experiments {

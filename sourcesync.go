@@ -43,8 +43,8 @@
 // Workers: 1 path.
 //
 // Each options struct carries a Workers field (0 = one worker per CPU,
-// 1 = serial); cmd/ssbench exposes it as -parallel (default on) and
-// -workers, and reports per-experiment wall clock so speedups are visible.
+// 1 = serial); cmd/ssbench exposes it as -workers and reports
+// per-experiment wall clock so speedups are visible.
 package sourcesync
 
 import (
