@@ -26,45 +26,53 @@ type Multipath struct {
 // power variation is modeled separately by shadowing in the path loss model,
 // keeping link budgets controlled in experiments.
 func NewRayleigh(rng *rand.Rand, nTaps int, decayTaps float64) *Multipath {
-	if nTaps < 1 {
-		nTaps = 1
-	}
-	taps := make([]complex128, nTaps)
-	for i := range taps {
-		p := math.Exp(-float64(i) / math.Max(decayTaps, 1e-9))
-		g := math.Sqrt(p / 2)
-		taps[i] = complex(rng.NormFloat64()*g, rng.NormFloat64()*g)
-	}
-	m := &Multipath{Taps: taps}
-	norm := 1 / math.Sqrt(m.Power())
-	for i := range taps {
-		taps[i] *= complex(norm, 0)
-	}
-	return m
+	taps := make([]complex128, max(nTaps, 1))
+	fillRayleigh(rng, taps, decayTaps)
+	return &Multipath{Taps: taps}
 }
 
 // NewRician is like NewRayleigh but adds a deterministic line-of-sight
 // component on the first tap with the given K-factor (dB): the ratio of LOS
 // power to total scattered power.
 func NewRician(rng *rand.Rand, nTaps int, decayTaps, kFactorDB float64) *Multipath {
-	m := NewRayleigh(rng, nTaps, decayTaps)
+	taps := make([]complex128, max(nTaps, 1))
+	fillRician(rng, taps, decayTaps, kFactorDB)
+	return &Multipath{Taps: taps}
+}
+
+// fillRayleigh draws NewRayleigh's taps into taps (len >= 1).
+func fillRayleigh(rng *rand.Rand, taps []complex128, decayTaps float64) {
+	for i := range taps {
+		p := math.Exp(-float64(i) / math.Max(decayTaps, 1e-9))
+		g := math.Sqrt(p / 2)
+		taps[i] = complex(rng.NormFloat64()*g, rng.NormFloat64()*g)
+	}
+	norm := 1 / math.Sqrt(tapsPower(taps))
+	for i := range taps {
+		taps[i] *= complex(norm, 0)
+	}
+}
+
+// fillRician draws NewRician's taps into taps (len >= 1): the Rayleigh
+// draw, then the line-of-sight phase.
+func fillRician(rng *rand.Rand, taps []complex128, decayTaps, kFactorDB float64) {
+	fillRayleigh(rng, taps, decayTaps)
 	k := dsp.FromDB(kFactorDB)
 	// Scattered power is currently 1; scale so scattered + LOS = 1.
 	scatter := 1 / (1 + k)
 	los := k / (1 + k)
 	s := math.Sqrt(scatter)
-	for i := range m.Taps {
-		m.Taps[i] *= complex(s, 0)
+	for i := range taps {
+		taps[i] *= complex(s, 0)
 	}
 	phase := rng.Float64() * 2 * math.Pi
-	m.Taps[0] += cmplx.Rect(math.Sqrt(los), phase)
+	taps[0] += cmplx.Rect(math.Sqrt(los), phase)
 	// Renormalize the realized power (LOS and scatter add incoherently only
 	// in expectation).
-	norm := complex(1/math.Sqrt(m.Power()), 0)
-	for i := range m.Taps {
-		m.Taps[i] *= norm
+	norm := complex(1/math.Sqrt(tapsPower(taps)), 0)
+	for i := range taps {
+		taps[i] *= norm
 	}
-	return m
 }
 
 // Flat returns a single-tap unit channel (no multipath).
@@ -75,12 +83,26 @@ func Flat() *Multipath {
 // NewIndoor draws a channel whose RMS delay spread is roughly spreadNs at
 // sample rate fs. Line-of-sight placements should pass a positive K-factor.
 func NewIndoor(rng *rand.Rand, fs, spreadNs, kFactorDB float64) *Multipath {
+	return &Multipath{Taps: DrawIndoor(rng, nil, fs, spreadNs, kFactorDB)}
+}
+
+// DrawIndoor draws the taps of NewIndoor's channel — the same RNG draws,
+// bit for bit — into the prefix of taps and returns that prefix. When cap
+// (taps) is short of the tap count it allocates instead, so a caller with
+// a large enough scratch array draws a channel without allocating.
+func DrawIndoor(rng *rand.Rand, taps []complex128, fs, spreadNs, kFactorDB float64) []complex128 {
 	decayTaps := spreadNs * 1e-9 * fs
-	nTaps := int(math.Ceil(4*decayTaps)) + 1
-	if kFactorDB > 0 {
-		return NewRician(rng, nTaps, decayTaps, kFactorDB)
+	nTaps := max(int(math.Ceil(4*decayTaps))+1, 1)
+	if cap(taps) < nTaps {
+		taps = make([]complex128, nTaps)
 	}
-	return NewRayleigh(rng, nTaps, decayTaps)
+	taps = taps[:nTaps]
+	if kFactorDB > 0 {
+		fillRician(rng, taps, decayTaps, kFactorDB)
+	} else {
+		fillRayleigh(rng, taps, decayTaps)
+	}
+	return taps
 }
 
 // Apply convolves x with the channel, returning len(x)+len(Taps)-1 samples.
@@ -109,16 +131,22 @@ func (m *Multipath) FreqResponse(nfft int) []complex128 {
 func (m *Multipath) PowerDelayProfile() []float64 {
 	out := make([]float64, len(m.Taps))
 	for i, t := range m.Taps {
-		out[i] = real(t)*real(t) + imag(t)*imag(t)
+		out[i] = tapPower(t)
 	}
 	return out
 }
 
 // Power returns the total tap power (1.0 for freshly drawn channels).
-func (m *Multipath) Power() float64 {
+func (m *Multipath) Power() float64 { return tapsPower(m.Taps) }
+
+// tapPower is |t|^2.
+func tapPower(t complex128) float64 { return real(t)*real(t) + imag(t)*imag(t) }
+
+// tapsPower sums |tap|^2 in tap order.
+func tapsPower(taps []complex128) float64 {
 	var p float64
-	for _, v := range m.PowerDelayProfile() {
-		p += v
+	for _, t := range taps {
+		p += tapPower(t)
 	}
 	return p
 }

@@ -337,6 +337,7 @@ type Sim struct {
 	starterIdx []int32    // the flow's slot in the current starter set (scratch)
 	curTx      []*tx      // in-flight transmission; nil while contending or idle
 	flowPast   [][]pastTx // finished air intervals, kept while they can still interfere
+	airHi      []float64  // latest air end over curTx and flowPast: resolve skips a flow whose intervals all end by a frame's start
 
 	// Spatial index over transmitter positions (nil when CSRangeM <= 0 or
 	// nothing is placed); unplaced flows contend with everyone and ride
@@ -385,6 +386,7 @@ type Sim struct {
 	group      []int
 	nbufA      []int32
 	nbufB      []int32
+	posPrice   map[testbed.Point]ixCand // buildIxCands: each transmitter position's price in the current build
 	markGen    uint32
 }
 
@@ -393,7 +395,9 @@ type Sim struct {
 // against its current Radio. pow is the candidate transmitter's median
 // interference power at the owning flow's receiver (linear; 0 when the
 // pair is not priced), inCS its carrier-sense relation to the owning
-// flow. The Radio the price was computed against is not stored: within a
+// flow. Both depend on the candidate only through its transmitter
+// position, so candidates at one position (flows sharing an AP) share one
+// pricing per build. The Radio the price was computed against is not stored: within a
 // topology generation it is by contract the candidate's current Radio
 // (Reindex invalidates every list, and in-place Radio mutation is
 // unsupported), so consumers read it off the flow — and intervals sent
@@ -435,6 +439,7 @@ func (s *Sim) growState() {
 		s.starterIdx = append(s.starterIdx, 0)
 		s.curTx = append(s.curTx, nil)
 		s.flowPast = append(s.flowPast, nil)
+		s.airHi = append(s.airHi, 0)
 		s.nbGen = append(s.nbGen, 0)
 		s.nbRadio = append(s.nbRadio, nil)
 		s.nbList = append(s.nbList, nil)
@@ -1010,6 +1015,7 @@ func (s *Sim) Step() bool {
 			r.airEnd = r.base + r.cost
 			r.end = r.airEnd // provisional; finalized when the delivery settles
 			s.curTx[i] = r
+			s.airHi[i] = max(s.airHi[i], r.airEnd)
 			s.flags[i] &^= fWaiting | fCounterValid // the counter is consumed by this attempt
 			s.startGen[i]++
 			if r.ft > s.maxFT {
@@ -1158,7 +1164,10 @@ func (s *Sim) countGroups(starters []*tx) {
 // colliders (they necessarily started with it), out-of-range overlaps are
 // hidden terminals at the receiver. It finalizes the transmission's
 // occupancy (ACK exchange or ACK timeout) and bills the flow its attempt
-// cost.
+// cost. Both scan arms first read the candidate's airHi from one dense
+// array and skip a candidate whose every interval ended by r's start —
+// exactly the intervals scan and scanDirect would discard — so a flow
+// silent for the whole frame costs no load of its Radio or interval list.
 func (s *Sim) resolve(r *tx) {
 	f := r.f
 	f.Attempts++
@@ -1220,10 +1229,12 @@ func (s *Sim) resolve(r *tx) {
 	case s.grid == nil || f.Radio == nil || s.InterferenceRangeM <= 0:
 		// No bound, no index to query, or an unplaced frame: every flow is
 		// a candidate, and only intervals that overlap r are priced.
-		for _, g := range s.Flows {
-			gi := g.idx
+		for gi, hi := range s.airHi {
+			if hi <= r.start {
+				continue
+			}
 			if a := s.curTx[gi]; a != nil && a != r {
-				scanDirect(g.Radio, a.start, a.airEnd, a.resolved)
+				scanDirect(s.Flows[gi].Radio, a.start, a.airEnd, a.resolved)
 			}
 			for _, p := range s.flowPast[gi] {
 				scanDirect(p.radio, p.start, p.airEnd, true)
@@ -1242,6 +1253,9 @@ func (s *Sim) resolve(r *tx) {
 		for k := range cands {
 			c := &cands[k]
 			gi := c.fi
+			if s.airHi[gi] <= r.start {
+				continue
+			}
 			// The cached price was computed against the candidate's Radio at
 			// build time, which within a topology generation is its current
 			// Radio (the Reindex contract), so a live transmission always
@@ -1346,8 +1360,9 @@ func (s *Sim) resolve(r *tx) {
 // interference range around its receiver (every interferer loud enough to
 // price) — plus the unplaced flows, first occurrence kept, exactly the
 // set the historical per-settle queries visited. Each candidate is priced
-// once against its current Radio; the list is valid until the topology
-// generation advances or f's Radio is swapped. Consumes no randomness.
+// against its current Radio, each distinct transmitter position once; the
+// list is valid until the topology generation advances or f's Radio is
+// swapped. Consumes no randomness.
 func (s *Sim) buildIxCands(f *Flow) []ixCand {
 	i := f.idx
 	s.markGen++
@@ -1363,18 +1378,32 @@ func (s *Sim) buildIxCands(f *Flow) []ixCand {
 	if need := len(csNb) + len(ixNb) + len(s.unplaced); cap(out) < need {
 		out = make([]ixCand, 0, need)
 	}
+	// Equal positions give equal distances, hence bit-identical prices.
+	if s.posPrice == nil {
+		s.posPrice = make(map[testbed.Point]ixCand)
+	}
+	clear(s.posPrice)
 	add := func(ids []int32) {
 		for _, gi := range ids {
 			if s.mark[gi] == m {
 				continue
 			}
 			s.mark[gi] = m
-			g := s.Flows[gi]
-			c := ixCand{fi: gi, inCS: s.inRange(f, g.Radio)}
-			if g.Radio != nil && priced {
-				d := testbed.Dist(g.Radio.TxPos, f.Radio.RxPos)
-				c.pow = math.Pow(10, s.Env.MeanSNRdB(d)/10)
+			gr := s.Flows[gi].Radio
+			var c ixCand
+			if gr == nil {
+				c.inCS = s.inRange(f, nil)
+			} else if p, ok := s.posPrice[gr.TxPos]; ok {
+				c = p
+			} else {
+				c.inCS = s.inRange(f, gr)
+				if priced {
+					d := testbed.Dist(gr.TxPos, f.Radio.RxPos)
+					c.pow = math.Pow(10, s.Env.MeanSNRdB(d)/10)
+				}
+				s.posPrice[gr.TxPos] = c
 			}
+			c.fi = gi
 			out = append(out, c)
 		}
 	}

@@ -92,10 +92,7 @@ func LinkDeliver(rng *rand.Rand, link testbed.Link, rate modem.Rate, payload int
 // randomness is consumed either way, so degrading a draw never perturbs
 // the deterministic stream.
 func LinkDeliverScaled(rng *rand.Rand, link testbed.Link, rate modem.Rate, payload int, snrScale float64) bool {
-	bins := link.DrawSubcarrierSNRs(rng)
-	scaleBins(bins, snrScale)
-	per := permodel.PER(rate, payload, bins)
-	return rng.Float64() >= per
+	return JointLinkDeliverScaled(rng, []testbed.Link{link}, rate, payload, snrScale)
 }
 
 // JointLinkDeliver draws one reception of a joint transmission arriving
@@ -104,16 +101,30 @@ func JointLinkDeliver(rng *rand.Rand, links []testbed.Link, rate modem.Rate, pay
 	return JointLinkDeliverScaled(rng, links, rate, payload, 1)
 }
 
+// drawBins is the stack capacity of a delivery draw's per-subcarrier SNR
+// buffer; every modem profile's data-subcarrier count fits, so a draw
+// allocates nothing.
+const drawBins = 256
+
 // JointLinkDeliverScaled is JointLinkDeliver with the post-combiner
 // per-subcarrier SNRs scaled by snrScale (interference degrades the summed
 // signal and the individual ones identically — the interferer is additive
-// noise at the one receiver).
+// noise at the one receiver). Each sender's per-bin SNRs are added into one
+// buffer, senders in order; with no links the PER is 1, so the draw still
+// consumes its one Float64 and fails.
 func JointLinkDeliverScaled(rng *rand.Rand, links []testbed.Link, rate modem.Rate, payload int, snrScale float64) bool {
-	per := make([][]float64, len(links))
-	for i, l := range links {
-		per[i] = l.DrawSubcarrierSNRs(rng)
+	var buf [drawBins]float64
+	var bins []float64
+	if len(links) > 0 {
+		if n := links[0].NumDataBins(); n <= len(buf) {
+			bins = buf[:n]
+		} else {
+			bins = make([]float64, n)
+		}
 	}
-	bins := permodel.JointSNR(per)
+	for _, l := range links {
+		l.AddSubcarrierSNRs(rng, bins)
+	}
 	scaleBins(bins, snrScale)
 	return rng.Float64() >= permodel.PER(rate, payload, bins)
 }

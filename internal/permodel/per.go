@@ -44,7 +44,7 @@ func qfunc(x float64) float64 {
 // punctured variants: c_d is the total information-bit weight of all paths
 // at Hamming distance d from the all-zero path, starting at dFree. These are
 // the standard published values used in 802.11 performance analyses.
-var spectra = map[modem.CodeRate]struct {
+var spectra = [...]struct {
 	dFree int
 	cd    []float64
 }{
@@ -53,27 +53,40 @@ var spectra = map[modem.CodeRate]struct {
 	modem.Rate34: {5, []float64{42, 201, 1492, 10469, 62935, 379644}},
 }
 
+// maxDist is the largest Hamming distance any spectrum reaches.
+const maxDist = 20
+
+// binomTab[n][k] is binom(n, k) for every distance a spectrum reaches.
+var binomTab = func() (t [maxDist + 1][maxDist + 1]float64) {
+	for n := range t {
+		for k := range t[n] {
+			t[n][k] = binom(n, k)
+		}
+	}
+	return t
+}()
+
+// powTab holds p^k and (1-p)^k for one crossover probability p, each entry
+// a math.Pow of exactly the arguments the closed-form union bound passes.
+type powTab struct{ p, q [maxDist + 1]float64 }
+
 // pairwiseError returns the probability that the Viterbi decoder prefers a
 // path at Hamming distance d when the hard-decision channel has crossover
-// probability p.
-func pairwiseError(d int, p float64) float64 {
-	if p <= 0 {
-		return 0
-	}
-	if p >= 0.5 {
-		return 0.5
-	}
+// probability 0 < p < 0.5, reading the powers of p and 1-p from t: a
+// majority of the d positions flip, half the ties break wrong.
+func pairwiseError(d int, t *powTab) float64 {
+	b := &binomTab[d]
 	var sum float64
 	if d%2 == 1 {
 		for k := (d + 1) / 2; k <= d; k++ {
-			sum += binom(d, k) * math.Pow(p, float64(k)) * math.Pow(1-p, float64(d-k))
+			sum += b[k] * t.p[k] * t.q[d-k]
 		}
 		return sum
 	}
 	for k := d/2 + 1; k <= d; k++ {
-		sum += binom(d, k) * math.Pow(p, float64(k)) * math.Pow(1-p, float64(d-k))
+		sum += b[k] * t.p[k] * t.q[d-k]
 	}
-	sum += 0.5 * binom(d, d/2) * math.Pow(p, float64(d/2)) * math.Pow(1-p, float64(d/2))
+	sum += 0.5 * b[d/2] * t.p[d/2] * t.q[d/2]
 	return sum
 }
 
@@ -89,18 +102,38 @@ func binom(n, k int) float64 {
 }
 
 // CodedBitErrorBound returns the union-bound post-Viterbi bit error
-// probability for crossover probability p at the given code rate.
+// probability for crossover probability p at the given code rate. Each
+// power of p and 1-p is computed once per call, not once per term.
 func CodedBitErrorBound(p float64, code modem.CodeRate) float64 {
-	s, ok := spectra[code]
-	if !ok {
+	if code < 0 || int(code) >= len(spectra) {
 		panic("permodel: unknown code rate")
 	}
+	s := &spectra[code]
 	var pb float64
-	for i, c := range s.cd {
-		if c == 0 {
-			continue
+	switch {
+	case p <= 0: // no crossovers: every pairwise error is 0
+	case p >= 0.5: // a coin flip: every pairwise error is 1/2
+		for _, c := range s.cd {
+			if c != 0 {
+				pb += c * 0.5
+			}
 		}
-		pb += c * pairwiseError(s.dFree+i, p)
+	default:
+		// pairwiseError reads p^k for k >= ceil(d/2) and (1-p)^k for
+		// k <= d/2, over dFree <= d <= dMax.
+		var t powTab
+		dMax := s.dFree + len(s.cd) - 1
+		for k := s.dFree / 2; k <= dMax; k++ {
+			t.p[k] = math.Pow(p, float64(k))
+		}
+		for k := 0; k <= dMax/2; k++ {
+			t.q[k] = math.Pow(1-p, float64(k))
+		}
+		for i, c := range s.cd {
+			if c != 0 {
+				pb += c * pairwiseError(s.dFree+i, &t)
+			}
+		}
 	}
 	if pb > 0.5 {
 		pb = 0.5
@@ -157,19 +190,6 @@ func JointSNR(perSender [][]float64) []float64 {
 		for i, v := range s {
 			out[i] += v
 		}
-	}
-	return out
-}
-
-// SubcarrierSNRs draws the per-data-bin linear SNRs of one link realization:
-// the link's average SNR shaped by a multipath frequency response.
-func SubcarrierSNRs(cfg *modem.Config, freqResp []complex128, avgSNRdB float64) []float64 {
-	lin := dsp.FromDB(avgSNRdB)
-	bins := cfg.DataBins()
-	out := make([]float64, len(bins))
-	for i, k := range bins {
-		h := freqResp[cfg.Bin(k)]
-		out[i] = lin * (real(h)*real(h) + imag(h)*imag(h))
 	}
 	return out
 }

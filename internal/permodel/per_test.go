@@ -8,9 +8,9 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/channel"
 	"repro/internal/dsp"
 	"repro/internal/modem"
+	"repro/internal/testbed"
 )
 
 func TestUncodedBERKnownValues(t *testing.T) {
@@ -123,15 +123,18 @@ func TestJointPERBeatsSinglePER(t *testing.T) {
 	// Two senders over independent fading: the joint PER must be lower
 	// than either alone at the same per-sender SNR.
 	cfg := modem.Profile80211()
+	env := testbed.Default(cfg)
+	env.DelaySpreadNs = 60
+	link := env.LinkAtSNR(8, 10) // NLOS: Rayleigh taps
 	rng := rand.New(rand.NewSource(1))
 	rate, _ := modem.RateByMbps(12)
 	var single, joint float64
 	const draws = 200
 	for i := 0; i < draws; i++ {
-		h1 := channel.NewIndoor(rng, cfg.SampleRateHz, 60, 0).FreqResponse(cfg.NFFT)
-		h2 := channel.NewIndoor(rng, cfg.SampleRateHz, 60, 0).FreqResponse(cfg.NFFT)
-		s1 := SubcarrierSNRs(cfg, h1, 8)
-		s2 := SubcarrierSNRs(cfg, h2, 8)
+		s1 := make([]float64, cfg.NumData())
+		s2 := make([]float64, cfg.NumData())
+		link.AddSubcarrierSNRs(rng, s1)
+		link.AddSubcarrierSNRs(rng, s2)
 		single += PER(rate, 1000, s1) / draws
 		joint += PER(rate, 1000, JointSNR([][]float64{s1, s2})) / draws
 	}
@@ -141,12 +144,20 @@ func TestJointPERBeatsSinglePER(t *testing.T) {
 }
 
 func TestSubcarrierSNRsShapedByChannel(t *testing.T) {
+	// With no delay spread the channel is one unit-power tap, so every
+	// data bin carries the link's average SNR; a second draw adds to it.
 	cfg := modem.Profile80211()
-	flat := channel.Flat().FreqResponse(cfg.NFFT)
-	s := SubcarrierSNRs(cfg, flat, 10)
-	for _, v := range s {
-		if math.Abs(v-10) > 1e-9 {
-			t.Fatalf("flat channel SNR %g, want 10 linear", v)
+	env := testbed.Default(cfg)
+	env.DelaySpreadNs = 0
+	link := env.LinkAtSNR(10, 10)
+	rng := rand.New(rand.NewSource(4))
+	bins := make([]float64, cfg.NumData())
+	for want := 10.0; want <= 20; want += 10 {
+		link.AddSubcarrierSNRs(rng, bins)
+		for i, v := range bins {
+			if math.Abs(v-want) > 1e-9 {
+				t.Fatalf("bin %d: SNR %g, want %g linear", i, v, want)
+			}
 		}
 	}
 }

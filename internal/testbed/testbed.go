@@ -10,6 +10,7 @@ import (
 	"math/rand"
 
 	"repro/internal/channel"
+	"repro/internal/dsp"
 	"repro/internal/modem"
 )
 
@@ -128,28 +129,47 @@ func (t *Testbed) LinkAtSNR(snrDB, distM float64) Link {
 	return Link{SNRdB: snrDB, DistM: distM, LOS: distM <= t.LOSThresholdM, parent: t}
 }
 
-// DrawChannel samples a fresh multipath realization for this link.
-func (l Link) DrawChannel(rng *rand.Rand) *channel.Multipath {
+// NumDataBins is the number of data subcarriers a draw on this link fills.
+func (l Link) NumDataBins() int { return l.parent.Cfg.NumData() }
+
+// stackNFFT bounds the FFT size whose frequency response AddSubcarrierSNRs
+// computes in a stack array; every modem profile fits.
+const stackNFFT = 256
+
+// AddSubcarrierSNRs draws one packet's multipath on this link (block
+// fading: fresh taps per packet) and adds its per-data-subcarrier linear
+// SNRs — the link's average SNR shaped by the channel's frequency
+// response — into acc, one entry per data subcarrier. Summing several
+// links' draws into one acc is the joint reception of concurrent
+// synchronized senders (power gain + diversity, paper §8.2). The taps and
+// the in-place FFT live on the stack, so the draw allocates nothing.
+func (l Link) AddSubcarrierSNRs(rng *rand.Rand, acc []float64) {
+	t := l.parent
+	cfg := t.Cfg
+	var buf [stackNFFT]complex128
+	var h []complex128
+	if cfg.NFFT <= len(buf) {
+		h = buf[:cfg.NFFT:cfg.NFFT]
+	} else {
+		h = make([]complex128, cfg.NFFT)
+	}
 	k := 0.0
 	if l.LOS {
-		k = l.parent.KFactorDB
+		k = t.KFactorDB
 	}
-	return channel.NewIndoor(rng, l.parent.Cfg.SampleRateHz, l.parent.DelaySpreadNs, k)
-}
-
-// DrawSubcarrierSNRs samples per-data-subcarrier linear SNRs for one packet
-// on this link (block fading: fresh multipath per packet).
-func (l Link) DrawSubcarrierSNRs(rng *rand.Rand) []float64 {
-	cfg := l.parent.Cfg
-	h := l.DrawChannel(rng).FreqResponse(cfg.NFFT)
+	// The taps fill h's prefix, zero-padded to NFFT; a channel with more
+	// taps than bins is drawn aside and truncated, as FreqResponse does.
+	if taps := channel.DrawIndoor(rng, h[:0], cfg.SampleRateHz, t.DelaySpreadNs, k); len(taps) > len(h) {
+		copy(h, taps)
+	}
+	dsp.FFTInto(h, h)
 	lin := math.Pow(10, l.SNRdB/10)
-	bins := cfg.DataBins()
-	out := make([]float64, len(bins))
-	for i, k := range bins {
-		v := h[cfg.Bin(k)]
-		out[i] = lin * (real(v)*real(v) + imag(v)*imag(v))
+	for i, b := range cfg.DataBins() {
+		v := h[cfg.Bin(b)]
+		// The conversion rounds the product before the add, so no target
+		// may fuse the two: the sum equals adding separately drawn bins.
+		acc[i] += float64(lin * (real(v)*real(v) + imag(v)*imag(v)))
 	}
-	return out
 }
 
 // PropDelaySamples returns the line-of-flight delay of this link in samples.

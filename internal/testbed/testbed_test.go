@@ -55,15 +55,19 @@ func TestLinkLOSFlag(t *testing.T) {
 	}
 }
 
-func TestDrawSubcarrierSNRsStatistics(t *testing.T) {
+func TestAddSubcarrierSNRsStatistics(t *testing.T) {
 	tb := Default(modem.Profile80211())
 	rng := rand.New(rand.NewSource(2))
 	link := tb.LinkAtSNR(10, 10)
+	draw := func() []float64 {
+		bins := make([]float64, link.NumDataBins())
+		link.AddSubcarrierSNRs(rng, bins)
+		return bins
+	}
 	var mean float64
 	const draws = 300
 	for i := 0; i < draws; i++ {
-		bins := link.DrawSubcarrierSNRs(rng)
-		mean += dsp.Mean(bins) / draws
+		mean += dsp.Mean(draw()) / draws
 	}
 	// Average linear SNR across fading should match the link budget (10 dB
 	// = 10 linear).
@@ -71,9 +75,8 @@ func TestDrawSubcarrierSNRsStatistics(t *testing.T) {
 		t.Fatalf("mean per-bin SNR %.2f, want ~10", mean)
 	}
 	// And individual draws must be frequency selective (not all equal).
-	bins := link.DrawSubcarrierSNRs(rng)
-	if dsp.StdDev(bins) < 0.5 {
-		t.Fatalf("no frequency selectivity: std %.3f", dsp.StdDev(bins))
+	if std := dsp.StdDev(draw()); std < 0.5 {
+		t.Fatalf("no frequency selectivity: std %.3f", std)
 	}
 }
 
